@@ -16,27 +16,28 @@ namespace dqma::protocol {
 using linalg::Complex;
 using quantum::LocalOpPlan;
 using quantum::RegisterShape;
+using quantum::SparseRows;
 using util::require;
 
 namespace {
 
 /// <w| effect |w> for the product state w = tensor of the listed registers'
-/// states: the per-group factor of a product proof's acceptance. O(b^2) for
-/// block dimension b, with exact zeros of the effect skipped.
-double local_expectation(const CMat& effect, const std::vector<int>& group,
+/// states: the per-group factor of a product proof's acceptance. O(b + nnz)
+/// for block dimension b, walking the effect's nonzero rows.
+double local_expectation(const SparseRows& effect,
+                         const std::vector<int>& group,
                          const std::vector<CVec>& states) {
   CVec w = states[static_cast<std::size_t>(group.front())];
   for (std::size_t k = 1; k < group.size(); ++k) {
     w = w.tensor(states[static_cast<std::size_t>(group[k])]);
   }
   Complex acc{0.0, 0.0};
-  for (int i = 0; i < effect.rows(); ++i) {
+  for (int i = 0; i < static_cast<int>(effect.rows()); ++i) {
     const Complex ci = std::conj(w[i]);
     Complex row{0.0, 0.0};
-    for (int j = 0; j < effect.cols(); ++j) {
-      const Complex v = effect(i, j);
-      if (v == Complex{0.0, 0.0}) continue;
-      row += v * w[j];
+    for (std::size_t k = effect.start[static_cast<std::size_t>(i)];
+         k < effect.start[static_cast<std::size_t>(i) + 1]; ++k) {
+      row += effect.val[k] * w[effect.col[k]];
     }
     acc += ci * row;
   }
@@ -47,21 +48,19 @@ double local_expectation(const CMat& effect, const std::vector<int>& group,
 /// `pos` (0 or 1) free: the d x d conditional block M with
 ///   pos == 0:  M(i, j) = sum_{a,b} conj(v[a]) E(i*d+a, j*d+b) v[b]
 ///   pos == 1:  M(a, b) = sum_{i,j} conj(u[i]) E(i*d+a, j*d+b) u[j]
-/// contracted in two O(d^4) + O(d^3) stages.
-CMat pair_conditional(const CMat& effect, int pos, const CVec& other, int d) {
+/// contracted in an O(nnz) stage over the effect's nonzero rows (columns
+/// ascending, so every sum keeps its ascending order) and an O(d^3) stage.
+CMat pair_conditional(const SparseRows& effect, int pos, const CVec& other,
+                      int d) {
   CMat m(d, d);
   if (pos == 0) {
     // Stage 1 over b: C(i*d+a, j) = sum_b E(i*d+a, j*d+b) other[b].
     CMat c(d * d, d);
     for (int row = 0; row < d * d; ++row) {
-      for (int j = 0; j < d; ++j) {
-        Complex acc{0.0, 0.0};
-        for (int b = 0; b < d; ++b) {
-          const Complex v = effect(row, j * d + b);
-          if (v == Complex{0.0, 0.0}) continue;
-          acc += v * other[b];
-        }
-        c(row, j) = acc;
+      for (std::size_t k = effect.start[static_cast<std::size_t>(row)];
+           k < effect.start[static_cast<std::size_t>(row) + 1]; ++k) {
+        const int col = effect.col[k];
+        c(row, col / d) += effect.val[k] * other[col % d];
       }
     }
     // Stage 2 over a: M(i, j) = sum_a conj(other[a]) C(i*d+a, j).
@@ -79,14 +78,12 @@ CMat pair_conditional(const CMat& effect, int pos, const CVec& other, int d) {
   // pos == 1: stage 1 over i: T(a, j*d+b) = sum_i conj(other[i]) E(i*d+a, .).
   CMat t(d, d * d);
   for (int a = 0; a < d; ++a) {
-    for (int col = 0; col < d * d; ++col) {
-      Complex acc{0.0, 0.0};
-      for (int i = 0; i < d; ++i) {
-        const Complex v = effect(i * d + a, col);
-        if (v == Complex{0.0, 0.0}) continue;
-        acc += std::conj(other[i]) * v;
+    for (int i = 0; i < d; ++i) {
+      const Complex ci = std::conj(other[i]);
+      const std::size_t row = static_cast<std::size_t>(i * d + a);
+      for (std::size_t k = effect.start[row]; k < effect.start[row + 1]; ++k) {
+        t(a, effect.col[k]) += ci * effect.val[k];
       }
-      t(a, col) = acc;
     }
   }
   // Stage 2 over j: M(a, b) = sum_j T(a, j*d+b) other[j].
@@ -150,6 +147,9 @@ ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
   // Final measurement on sent_{r-1}.
   final_ = CMat::projector(hy);
 
+  for (const CMat* effect : {&first_, &swap_effect_, &final_}) {
+    effect_rows_.emplace_back(*effect);
+  }
   build_pattern_effects();
   dense_ = (mode == Mode::kDense) ||
            (mode == Mode::kAuto && proof_dim_ <= kMaxDenseProofDim);
@@ -161,6 +161,11 @@ ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
             "ExactEqPathAnalyzer: proof space too large for the dense mode");
     build_operator();
   }
+}
+
+const quantum::SparseRows& ExactEqPathAnalyzer::effect_rows(
+    EffectKind kind) const {
+  return effect_rows_[static_cast<std::size_t>(kind)];
 }
 
 const CMat& ExactEqPathAnalyzer::effect_matrix(EffectKind kind) const {
@@ -294,13 +299,14 @@ double ExactEqPathAnalyzer::product_accept(const std::vector<CVec>& regs) const 
     require(v.dim() == d_, "ExactEqPathAnalyzer: register dimension mismatch");
   }
   // For a product proof each pattern term factorizes over its disjoint
-  // effect groups, so the acceptance is a sum of products of O(d^4) local
-  // expectations — no D-dimensional object is touched.
+  // effect groups, so the acceptance is a sum of products of local
+  // expectations, each O(nnz) of its effect — no D-dimensional object is
+  // touched.
   double total = 0.0;
   for (int pattern = 0; pattern < patterns_; ++pattern) {
     double term = 1.0;
     for (const PatternEffect& pe : pattern_effects_[static_cast<std::size_t>(pattern)]) {
-      term *= local_expectation(effect_matrix(pe.kind), pe.regs, regs);
+      term *= local_expectation(effect_rows(pe.kind), pe.regs, regs);
     }
     total += term;
   }
@@ -322,7 +328,7 @@ CMat ExactEqPathAnalyzer::conditional_operator(
          pattern_effects_[static_cast<std::size_t>(pattern)]) {
       const auto it = std::find(pe.regs.begin(), pe.regs.end(), k);
       if (it == pe.regs.end()) {
-        scale *= local_expectation(effect_matrix(pe.kind), pe.regs, regs);
+        scale *= local_expectation(effect_rows(pe.kind), pe.regs, regs);
         continue;
       }
       found = true;
@@ -332,7 +338,7 @@ CMat ExactEqPathAnalyzer::conditional_operator(
         const int pos = static_cast<int>(it - pe.regs.begin());
         const CVec& other =
             regs[static_cast<std::size_t>(pe.regs[pos == 0 ? 1 : 0])];
-        part = pair_conditional(effect_matrix(pe.kind), pos, other, d_);
+        part = pair_conditional(effect_rows(pe.kind), pos, other, d_);
       }
     }
     util::ensure(found, "ExactEqPathAnalyzer: register not covered by any "

@@ -24,9 +24,11 @@
 //     pattern instead of the former O(D^3) embedded products), so spectral
 //     routines and QMA* reductions can consume the dense matrix;
 //   * kMatrixFree (large proof spaces): O is never materialized; its action
-//     on a vector costs O(patterns * r * D * b), worst_case_accept runs
-//     power iteration on that action, and the product-prover optimizer
-//     contracts the local effects register by register in O(d^4) per term.
+//     on a vector costs O(patterns * r * D * nnz / b) (the (I + SWAP)/2
+//     effect has 2d^2 - d nonzeros out of d^4, so it walks its nonzero rows),
+//     worst_case_accept runs the spectral dispatcher (Lanczos) on that
+//     action, and the product-prover optimizer contracts the local effects'
+//     nonzeros register by register in O(nnz) per term.
 // kAuto picks kDense up to kMaxDenseProofDim and kMatrixFree beyond.
 //
 // Dimensions: the proof space has dimension d^{2(r-1)} for fingerprint
@@ -116,6 +118,9 @@ class ExactEqPathAnalyzer {
   CMat swap_effect_;  // (I + SWAP)/2 on (sent_{j-1}, kept_j)
   CMat final_;        // |h_y><h_y| on sent_{r-1}
   CMat op_;           // dense modes (and the r == 1 scalar)
+  // Nonzero rows of the three effects, indexed by EffectKind: built once,
+  // walked by the product optimizer.
+  std::vector<quantum::SparseRows> effect_rows_;
 
   /// Which of the three local effects a pattern entry applies; resolved to
   /// the member matrix at use time so cached entries survive copies.
@@ -136,6 +141,7 @@ class ExactEqPathAnalyzer {
   std::vector<quantum::LocalOpPlan> plans_;
 
   const CMat& effect_matrix(EffectKind kind) const;
+  const quantum::SparseRows& effect_rows(EffectKind kind) const;
   void build_pattern_effects();
   void build_operator();
   CMat conditional_operator(int k, const std::vector<CVec>& regs) const;

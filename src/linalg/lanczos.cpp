@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "linalg/complex_view.hpp"
+#include "sweep/parallel.hpp"
 #include "util/require.hpp"
 
 namespace dqma::linalg {
@@ -35,12 +37,110 @@ bool residual_converged(double resid, double theta, double tol) {
   return resid <= tol * std::max(1.0, std::abs(theta));
 }
 
-/// y += a * x, serial (determinism: fixed order, calling thread only).
-void axpy(Complex a, const CVec& x, CVec& y) {
-  const int n = x.dim();
-  for (int i = 0; i < n; ++i) {
-    y[i] += a * x[i];
+/// Basis vectors swept together by the reorthogonalization kernels: each
+/// element of w is loaded once per group, and the group's sums are
+/// independent dependency chains.
+constexpr std::size_t kGroup = 4;
+
+/// Raw element pointers of basis[0 .. count).
+std::vector<const Complex*> element_pointers(const std::vector<CVec>& basis,
+                                             std::size_t count) {
+  std::vector<const Complex*> ptrs;
+  for (std::size_t i = 0; i < count; ++i) {
+    ptrs.push_back(ConstComplexView(basis[i]).aos_data());
   }
+  return ptrs;
+}
+
+/// out[t] = sum_e conj(b[t][e]) * w[e] over e in [begin, end) ascending, for
+/// t < K. The complex products are spelled out in real arithmetic — the
+/// same products and sums std::complex forms, without the NaN-recovery
+/// branch that keeps its loops from unrolling.
+template <std::size_t K>
+void dot_group(const Complex* const* b, const Complex* w, std::size_t begin,
+               std::size_t end, Complex* out) {
+  double re[K] = {};
+  double im[K] = {};
+  for (std::size_t e = begin; e < end; ++e) {
+    const double wr = w[e].real();
+    const double wi = w[e].imag();
+    for (std::size_t t = 0; t < K; ++t) {
+      const double br = b[t][e].real();
+      const double bi = b[t][e].imag();
+      re[t] += br * wr + bi * wi;
+      im[t] += br * wi - bi * wr;
+    }
+  }
+  for (std::size_t t = 0; t < K; ++t) {
+    out[t] = Complex{re[t], im[t]};
+  }
+}
+
+/// y[e] += sum_t a[t] * x[t][e], t ascending, for e in [begin, end).
+template <std::size_t K>
+void axpy_group(const Complex* a, const Complex* const* x, Complex* y,
+                std::size_t begin, std::size_t end) {
+  for (std::size_t e = begin; e < end; ++e) {
+    double yr = y[e].real();
+    double yi = y[e].imag();
+    for (std::size_t t = 0; t < K; ++t) {
+      const double xr = x[t][e].real();
+      const double xi = x[t][e].imag();
+      yr += a[t].real() * xr - a[t].imag() * xi;
+      yi += a[t].real() * xi + a[t].imag() * xr;
+    }
+    y[e] = Complex{yr, yi};
+  }
+}
+
+/// h[i] = <basis[i] | w> for every stored basis vector in one pass over w:
+/// per-chunk partial dots over a fixed element partition, combined in chunk
+/// order (sweep/parallel.hpp), so the coefficients are identical at any
+/// kernel thread count.
+std::vector<Complex> project(const std::vector<CVec>& basis, const CVec& w) {
+  const std::size_t m = basis.size();
+  const std::vector<const Complex*> b = element_pointers(basis, m);
+  const Complex* wp = ConstComplexView(w).aos_data();
+  return sweep::parallel_reduce<std::vector<Complex>>(
+      static_cast<std::size_t>(w.dim()), sweep::grain_for_ops(m),
+      std::vector<Complex>(m),
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<Complex> part(m);
+        std::size_t i = 0;
+        for (; i + kGroup <= m; i += kGroup) {
+          dot_group<kGroup>(b.data() + i, wp, begin, end, part.data() + i);
+        }
+        for (; i < m; ++i) {
+          dot_group<1>(b.data() + i, wp, begin, end, part.data() + i);
+        }
+        return part;
+      },
+      [](std::vector<Complex> acc, const std::vector<Complex>& part) {
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+          acc[i] += part[i];
+        }
+        return acc;
+      });
+}
+
+/// y += sum_i coeffs[i] * basis[i], every entry summed in ascending i. Chunks
+/// own disjoint element ranges, so the result is thread-count invariant.
+void add_combination(const std::vector<Complex>& coeffs,
+                     const std::vector<CVec>& basis, CVec& y) {
+  const std::size_t m = coeffs.size();
+  const std::vector<const Complex*> x = element_pointers(basis, m);
+  Complex* yp = MutComplexView(y).aos_data();
+  sweep::parallel_for(
+      static_cast<std::size_t>(y.dim()), sweep::grain_for_ops(m),
+      [&](std::size_t begin, std::size_t end) {
+        std::size_t i = 0;
+        for (; i + kGroup <= m; i += kGroup) {
+          axpy_group<kGroup>(coeffs.data() + i, x.data() + i, yp, begin, end);
+        }
+        for (; i < m; ++i) {
+          axpy_group<1>(coeffs.data() + i, x.data() + i, yp, begin, end);
+        }
+      });
 }
 
 /// Sturm-sequence count: number of eigenvalues of the symmetric tridiagonal
@@ -207,10 +307,12 @@ double power_iterate(const LinearOperator& op, int max_iters, double tol,
 }
 
 /// Deterministic Lanczos with full reorthogonalization. Per step: one
-/// operator application, two CGS passes against the whole stored basis in
-/// ascending index order (always two — no norm-triggered branching, so the
-/// instruction stream is input-independent), then the top Ritz pair of the
-/// tridiagonal and the standard beta * |y_last| residual bound. Breakdown
+/// operator application, two classical Gram-Schmidt passes against the
+/// whole stored basis (CGS2: each pass takes every coefficient from one
+/// fused reduction, then subtracts them in one fused sweep; always two
+/// passes — no norm-triggered branching, so the instruction stream is
+/// input-independent), then the top Ritz pair of the tridiagonal and the
+/// standard beta * |y_last| residual bound. Breakdown
 /// (beta ~ 0) means the Krylov space is exhausted and the tridiagonal is
 /// exact — rank-deficient and tiny-dimension operators converge that way.
 double lanczos_iterate(const LinearOperator& op, int max_iters, double tol,
@@ -241,13 +343,12 @@ double lanczos_iterate(const LinearOperator& op, int max_iters, double tol,
     ++local.matvecs;
     double aj = 0.0;
     for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t i = 0; i < basis.size(); ++i) {
-        const Complex h = basis[i].dot(w);
-        if (static_cast<int>(i) == j) {
-          aj += h.real();
-        }
-        axpy(-h, basis[i], w);
+      std::vector<Complex> h = project(basis, w);
+      aj += h[static_cast<std::size_t>(j)].real();
+      for (Complex& c : h) {
+        c = -c;
       }
+      add_combination(h, basis, w);
     }
     alpha.push_back(aj);
     local.iterations = j + 1;
@@ -267,9 +368,11 @@ double lanczos_iterate(const LinearOperator& op, int max_iters, double tol,
   }
   if (vec_out != nullptr) {
     CVec x(dim);
-    for (std::size_t i = 0; i < ritz.size(); ++i) {
-      axpy(Complex{ritz[i], 0.0}, basis[i], x);
+    std::vector<Complex> coeffs;
+    for (const double r : ritz) {
+      coeffs.emplace_back(r, 0.0);
     }
+    add_combination(coeffs, basis, x);
     const double nrm = x.norm();
     // The Ritz combination of an orthonormal basis with a unit coefficient
     // vector has norm ~1; guard the pathological collapse anyway.

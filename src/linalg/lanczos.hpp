@@ -4,11 +4,12 @@
 //
 // Determinism contract (same as the SIMD kernels, linalg/simd.hpp): for a
 // fixed dispatch level the solver is byte-identical across the kernel-thread
-// axis. Everything that is solver-local — the start vector, the
-// reorthogonalization passes, the tridiagonal bisection/inverse iteration —
-// runs serially on the calling thread in a fixed order; the only parallel
-// work is the operator application itself, which is thread-count invariant
-// by the LinearOperator backends' own contract.
+// axis. Two kinds of work run on the kernel pool: the operator application,
+// thread-count invariant by the LinearOperator backends' own contract, and
+// the reorthogonalization passes, which reduce their coefficients over a
+// fixed element partition in chunk order (sweep/parallel.hpp) and subtract
+// over disjoint element ranges. The start vector, norms and the tridiagonal
+// bisection/inverse iteration run serially on the calling thread.
 #pragma once
 
 #include <vector>

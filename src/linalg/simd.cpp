@@ -553,9 +553,6 @@ PackedOp pack_operator(const CMat& op, bool transpose, bool conjugate) {
                             : op(static_cast<int>(o), static_cast<int>(s));
       const double vr = v.real();
       const double vi = conjugate ? -v.imag() : v.imag();
-      if (vr != 0.0 || vi != 0.0) {
-        ++packed.nnz;
-      }
       packed.re[static_cast<std::size_t>(s * packed.rows + o)] = vr;
       packed.im[static_cast<std::size_t>(s * packed.rows + o)] = vi;
     }

@@ -117,19 +117,13 @@ Complex dot(Level level, bool conj_a, const double* ar, const double* ai,
 
 /// A local operator packed to column-major split storage: entry (o, s)
 /// lives at [s * rows + o], so block_apply reads output-contiguous
-/// columns. `nnz` feeds the density heuristic — permutation-like
-/// operators are faster through the scalar zero-skip path than through
-/// dense vector arithmetic.
+/// columns. Sparse operators never get packed: quantum/local_ops.hpp walks
+/// their nonzero rows instead (SparseRows::dense_enough).
 struct PackedOp {
   AlignedVector<double> re;
   AlignedVector<double> im;
   long long rows = 0;
   long long cols = 0;
-  long long nnz = 0;
-
-  /// Vector arithmetic beats the scalar zero-skip loop once at least a
-  /// quarter of the entries are nonzero.
-  bool dense_enough() const { return nnz * 4 >= rows * cols; }
 };
 
 /// Packs m(o, s) = op(o, s), transposed and/or conjugated first. The two

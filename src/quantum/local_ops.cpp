@@ -48,18 +48,9 @@ std::vector<long long> enumerate_offsets(const RegisterShape& shape,
 
 /// Exact zero test for the sparsity skips, component-wise. Deliberately NOT
 /// std::norm(v) == 0.0 (its squares underflow to zero on subnormal entries,
-/// silently dropping them) and not |re| + |im| == 0.0 (the fabs/add chain
-/// measured ~5x slower than two compares on the matrix-free power
-/// iteration).
+/// silently dropping them).
 inline bool is_zero(const Complex& v) {
   return v.real() == 0.0 && v.imag() == 0.0;
-}
-
-/// op entry under the optional adjoint view.
-inline Complex op_entry(const CMat& op, long long i, long long j,
-                        bool adjoint) {
-  return adjoint ? std::conj(op(static_cast<int>(j), static_cast<int>(i)))
-                 : op(static_cast<int>(i), static_cast<int>(j));
 }
 
 void require_op_shape(const LocalOpPlan& plan, const CMat& op,
@@ -70,16 +61,15 @@ void require_op_shape(const LocalOpPlan& plan, const CMat& op,
 }
 
 /// Whether a kernel should take the split-complex path: always for SoA
-/// views (the scalar loops are AoS-only), and for AoS views whenever a
-/// vector level is active and the packed operator is dense enough to beat
-/// the scalar zero-skip loop. Pure function of (level, layout, op) — never
-/// thread-count dependent.
-bool use_split_path(simd::Level level, Layout layout,
-                    const simd::PackedOp& packed) {
+/// views (the sparse row walks are AoS-only), and for AoS views whenever a
+/// vector level is active and the operator is dense enough to beat the
+/// row walk. Pure function of (level, layout, op) — never thread-count
+/// dependent.
+bool use_split_path(simd::Level level, Layout layout, const CMat& op) {
   if (layout == Layout::kSoA) {
     return true;
   }
-  return level != simd::Level::kScalar && packed.dense_enough();
+  return level != simd::Level::kScalar && SparseRows::dense_enough(op);
 }
 
 /// Strided gather of the block at `base` into split buffers.
@@ -126,6 +116,34 @@ void scatter_block(MutComplexView view, long long base,
 
 }  // namespace
 
+SparseRows::SparseRows(const CMat& op) : start(1, 0) {
+  require(op.rows() == op.cols(), "SparseRows: operator must be square");
+  start.reserve(static_cast<std::size_t>(op.rows()) + 1);
+  for (int i = 0; i < op.rows(); ++i) {
+    for (int j = 0; j < op.cols(); ++j) {
+      const Complex v = op(i, j);
+      if (!is_zero(v)) {
+        col.push_back(j);
+        val.push_back(v);
+      }
+    }
+    start.push_back(col.size());
+  }
+}
+
+bool SparseRows::dense_enough(const CMat& op) {
+  // nnz * 4 >= rows * cols, i.e. nnz >= ceil(rows * cols / 4).
+  const long long need =
+      (static_cast<long long>(op.rows()) * op.cols() + 3) / 4;
+  long long nnz = 0;
+  for (int i = 0; i < op.rows() && nnz < need; ++i) {
+    for (int j = 0; j < op.cols(); ++j) {
+      nnz += is_zero(op(i, j)) ? 0 : 1;
+    }
+  }
+  return nnz >= need;
+}
+
 LocalOpPlan::LocalOpPlan(const RegisterShape& shape, std::vector<int> regs)
     : regs_(std::move(regs)) {
   const int nregs = shape.register_count();
@@ -171,14 +189,12 @@ void apply_local(const LocalOpPlan& plan, const CMat& op,
   // SIMD level resolved once, on the calling thread (LevelScope overrides
   // do not reach pool workers); captured by the closures below.
   const simd::Level level = simd::active();
-  const simd::PackedOp packed =
-      level != simd::Level::kScalar || psi.layout() == Layout::kSoA
-          ? simd::pack_operator(op, /*transpose=*/false, /*conjugate=*/false)
-          : simd::PackedOp{};
-  if (packed.rows > 0 && use_split_path(level, psi.layout(), packed)) {
+  if (use_split_path(level, psi.layout(), op)) {
     // Split path: gather each free block into SoA scratch, run the packed
     // block operator as vectorized column axpys, scatter back. Free blocks
     // touch disjoint amplitude sets, so chunks of blocks run in parallel.
+    const simd::PackedOp packed =
+        simd::pack_operator(op, /*transpose=*/false, /*conjugate=*/false);
     sweep::parallel_for(
         foff.size(), sweep::grain_for_ops(static_cast<std::size_t>(b * b)),
         [&](std::size_t f_begin, std::size_t f_end) {
@@ -194,8 +210,10 @@ void apply_local(const LocalOpPlan& plan, const CMat& op,
         });
     return;
   }
-  // Scalar AoS reference path — kept verbatim from the pre-SIMD engine
-  // (byte-identical output under DQMA_SIMD=scalar).
+  // Row walk over the nonzeros: the same products in the same order as
+  // the pre-SIMD engine's zero-skip scan (byte-identical output under
+  // DQMA_SIMD=scalar).
+  const SparseRows rows(op);
   Complex* amps = psi.aos_data();
   sweep::parallel_for(
       foff.size(), sweep::grain_for_ops(static_cast<std::size_t>(b * b)),
@@ -210,10 +228,9 @@ void apply_local(const LocalOpPlan& plan, const CMat& op,
           }
           for (long long i = 0; i < b; ++i) {
             Complex acc{0.0, 0.0};
-            for (long long j = 0; j < b; ++j) {
-              const Complex v = op(static_cast<int>(i), static_cast<int>(j));
-              if (is_zero(v)) continue;
-              acc += v * in[static_cast<std::size_t>(j)];
+            for (std::size_t k = rows.start[static_cast<std::size_t>(i)];
+                 k < rows.start[static_cast<std::size_t>(i + 1)]; ++k) {
+              acc += rows.val[k] * in[static_cast<std::size_t>(rows.col[k])];
             }
             out[static_cast<std::size_t>(i)] = acc;
           }
@@ -239,15 +256,12 @@ double expectation_vector(const LocalOpPlan& plan, const CMat& effect,
   const auto& toff = plan.target_offsets();
   const auto& foff = plan.free_offsets();
   const simd::Level level = simd::active();
-  const simd::PackedOp packed =
-      level != simd::Level::kScalar || psi.layout() == Layout::kSoA
-          ? simd::pack_operator(effect, /*transpose=*/false,
-                                /*conjugate=*/false)
-          : simd::PackedOp{};
   // Chunked reduction over free blocks: per-chunk partial sums combined in
   // chunk order (sweep/parallel.hpp), so the value is identical at any
   // thread count.
-  if (packed.rows > 0 && use_split_path(level, psi.layout(), packed)) {
+  if (use_split_path(level, psi.layout(), effect)) {
+    const simd::PackedOp packed = simd::pack_operator(
+        effect, /*transpose=*/false, /*conjugate=*/false);
     const Complex acc = sweep::parallel_reduce<Complex>(
         foff.size(), sweep::grain_for_ops(static_cast<std::size_t>(b * b)),
         Complex{0.0, 0.0},
@@ -269,6 +283,7 @@ double expectation_vector(const LocalOpPlan& plan, const CMat& effect,
         [](Complex a, Complex c) { return a + c; });
     return acc.real();
   }
+  const SparseRows rows(effect);
   const Complex* amps = psi.aos_data();
   const Complex acc = sweep::parallel_reduce<Complex>(
       foff.size(), sweep::grain_for_ops(static_cast<std::size_t>(b * b)),
@@ -282,10 +297,10 @@ double expectation_vector(const LocalOpPlan& plan, const CMat& effect,
                 std::conj(amps[base + toff[static_cast<std::size_t>(i)]]);
             if (is_zero(ci)) continue;
             Complex row{0.0, 0.0};
-            for (long long j = 0; j < b; ++j) {
-              const Complex v = effect(static_cast<int>(i), static_cast<int>(j));
-              if (is_zero(v)) continue;
-              row += v * amps[base + toff[static_cast<std::size_t>(j)]];
+            for (std::size_t k = rows.start[static_cast<std::size_t>(i)];
+                 k < rows.start[static_cast<std::size_t>(i + 1)]; ++k) {
+              row += rows.val[k] *
+                     amps[base + toff[static_cast<std::size_t>(rows.col[k])]];
             }
             part += ci * row;
           }
@@ -305,8 +320,9 @@ double expectation_density(const LocalOpPlan& plan, const CMat& effect,
   // tr((E tensor I) rho) = sum_base sum_{i,j} E(i,j) rho(base+t_j, base+t_i);
   // chunked over free blocks, partials combined in chunk order. The access
   // pattern is a strided 2-D gather with O(b^2) touched entries per block —
-  // memory-latency bound, so it stays on the zero-skip scalar loop at
-  // every dispatch level (layout handled by the element loads).
+  // memory-latency bound, so it stays on the scalar row walk at every
+  // dispatch level (layout handled by the element loads).
+  const SparseRows rows(effect);
   const bool aos = rho.layout() == Layout::kAoS;
   const Complex* amps = aos ? rho.aos_data() : nullptr;
   const Complex acc = sweep::parallel_reduce<Complex>(
@@ -317,13 +333,12 @@ double expectation_density(const LocalOpPlan& plan, const CMat& effect,
         for (std::size_t f = f_begin; f < f_end; ++f) {
           const long long base = foff[f];
           for (long long i = 0; i < b; ++i) {
-            for (long long j = 0; j < b; ++j) {
-              const Complex v = effect(static_cast<int>(i), static_cast<int>(j));
-              if (is_zero(v)) continue;
+            for (std::size_t k = rows.start[static_cast<std::size_t>(i)];
+                 k < rows.start[static_cast<std::size_t>(i + 1)]; ++k) {
               const long long at =
-                  (base + toff[static_cast<std::size_t>(j)]) * d +
+                  (base + toff[static_cast<std::size_t>(rows.col[k])]) * d +
                   (base + toff[static_cast<std::size_t>(i)]);
-              part += v * (aos ? amps[at] : rho.load(at));
+              part += rows.val[k] * (aos ? amps[at] : rho.load(at));
             }
           }
         }
@@ -356,8 +371,9 @@ namespace {
 /// blocks mix disjoint row sets, so chunks of blocks run in parallel; each
 /// chunk owns one b x cols workspace reused across its blocks. The split
 /// path packs the block's rows to SoA and runs each coefficient as one
-/// vectorized axpy over a full row — same (j outer, i inner) ascending
-/// order and the same exact-zero coefficient skip as the scalar loop.
+/// vectorized axpy over a full row, (j outer, i inner) ascending with
+/// exact-zero coefficients skipped; the scalar row walk feeds every output
+/// row the same products in the same ascending-j order.
 void apply_left_blocks(const LocalOpPlan& plan, const CMat& op,
                        bool adjoint_op, MutComplexView a) {
   const long long b = plan.block();
@@ -366,8 +382,8 @@ void apply_left_blocks(const LocalOpPlan& plan, const CMat& op,
   const auto& foff = plan.free_offsets();
   const simd::Level level = simd::active();
   if (level != simd::Level::kScalar || a.layout() == Layout::kSoA) {
-    // m(i, j) = op_entry(i, j, adjoint): column-major pack so coefficient
-    // (i, j) sits at [j * b + i].
+    // m(i, j) = op(i, j), or conj(op(j, i)) with adjoint: column-major
+    // pack so coefficient (i, j) sits at [j * b + i].
     const simd::PackedOp packed =
         simd::pack_operator(op, /*transpose=*/adjoint_op,
                             /*conjugate=*/adjoint_op);
@@ -424,24 +440,35 @@ void apply_left_blocks(const LocalOpPlan& plan, const CMat& op,
         });
     return;
   }
+  const SparseRows rows(op);
   Complex* amps = a.aos_data();
   sweep::parallel_for(
       foff.size(),
       sweep::grain_for_ops(static_cast<std::size_t>(b * b * cols)),
       [&](std::size_t f_begin, std::size_t f_end) {
         linalg::AlignedVector<Complex> ws(static_cast<std::size_t>(b * cols));
+        // ws row i += v * state row j, over every column.
+        const auto mix = [&](long long base, long long i, long long j,
+                             Complex v) {
+          const Complex* src =
+              amps + (base + toff[static_cast<std::size_t>(j)]) * cols;
+          Complex* dst = ws.data() + static_cast<std::size_t>(i * cols);
+          for (long long c = 0; c < cols; ++c) {
+            dst[static_cast<std::size_t>(c)] += v * src[c];
+          }
+        };
         for (std::size_t f = f_begin; f < f_end; ++f) {
           const long long base = foff[f];
           std::fill(ws.begin(), ws.end(), Complex{0.0, 0.0});
-          for (long long j = 0; j < b; ++j) {
-            const Complex* src =
-                amps + (base + toff[static_cast<std::size_t>(j)]) * cols;
-            for (long long i = 0; i < b; ++i) {
-              const Complex v = op_entry(op, i, j, adjoint_op);
-              if (is_zero(v)) continue;
-              Complex* dst = ws.data() + static_cast<std::size_t>(i * cols);
-              for (long long c = 0; c < cols; ++c) {
-                dst[static_cast<std::size_t>(c)] += v * src[c];
+          // Output row i sums op(i, j) * row j (row i of op), or
+          // conj(op(j, i)) * row j (row j of op), in ascending j either way.
+          for (long long r = 0; r < b; ++r) {
+            for (std::size_t k = rows.start[static_cast<std::size_t>(r)];
+                 k < rows.start[static_cast<std::size_t>(r + 1)]; ++k) {
+              if (adjoint_op) {
+                mix(base, rows.col[k], r, std::conj(rows.val[k]));
+              } else {
+                mix(base, r, rows.col[k], rows.val[k]);
               }
             }
           }
@@ -457,9 +484,9 @@ void apply_left_blocks(const LocalOpPlan& plan, const CMat& op,
 
 /// Column-mixing pass shared by apply_right_local and sandwich_local; rows
 /// are independent, so chunks of rows run in parallel with per-chunk
-/// gather/scatter buffers. The split path packs op so that
-/// m(j, i) = op_entry(i, j, adjoint) and runs each free block through the
-/// vectorized block_apply.
+/// gather/scatter buffers. out_j = sum_i in_i * m(i, j) with m = op or
+/// op^dagger; the split path packs m transposed and runs each free block
+/// through the vectorized block_apply, the scalar path walks op's rows.
 void apply_right_rowwise(const LocalOpPlan& plan, const CMat& op,
                          bool adjoint_op, MutComplexView a) {
   const long long b = plan.block();
@@ -468,15 +495,11 @@ void apply_right_rowwise(const LocalOpPlan& plan, const CMat& op,
   const auto& foff = plan.free_offsets();
   const std::size_t row_ops = foff.size() * static_cast<std::size_t>(b * b);
   const simd::Level level = simd::active();
-  // out_j = sum_i in_i * op_entry(i, j, adjoint) means the packed block
-  // operator is m(o=j, s=i) = op_entry(s, o, adjoint): the plain transpose
-  // without adjoint, the conjugate (untransposed) with it.
-  const simd::PackedOp packed =
-      level != simd::Level::kScalar || a.layout() == Layout::kSoA
-          ? simd::pack_operator(op, /*transpose=*/!adjoint_op,
-                                /*conjugate=*/adjoint_op)
-          : simd::PackedOp{};
-  if (packed.rows > 0 && use_split_path(level, a.layout(), packed)) {
+  if (use_split_path(level, a.layout(), op)) {
+    // The packed block operator is m(o=j, s=i): the plain transpose of op
+    // without adjoint, its conjugate (untransposed) with it.
+    const simd::PackedOp packed = simd::pack_operator(
+        op, /*transpose=*/!adjoint_op, /*conjugate=*/adjoint_op);
     sweep::parallel_for(
         static_cast<std::size_t>(a.rows()), sweep::grain_for_ops(row_ops),
         [&](std::size_t x_begin, std::size_t x_end) {
@@ -494,6 +517,7 @@ void apply_right_rowwise(const LocalOpPlan& plan, const CMat& op,
         });
     return;
   }
+  const SparseRows rows(op);
   Complex* amps = a.aos_data();
   sweep::parallel_for(
       static_cast<std::size_t>(a.rows()), sweep::grain_for_ops(row_ops),
@@ -507,14 +531,28 @@ void apply_right_rowwise(const LocalOpPlan& plan, const CMat& op,
               in[static_cast<std::size_t>(i)] = row[static_cast<std::size_t>(
                   base + toff[static_cast<std::size_t>(i)])];
             }
-            for (long long j = 0; j < b; ++j) {
-              Complex acc{0.0, 0.0};
-              for (long long i = 0; i < b; ++i) {
-                const Complex v = op_entry(op, i, j, adjoint_op);
-                if (is_zero(v)) continue;
-                acc += in[static_cast<std::size_t>(i)] * v;
+            if (adjoint_op) {
+              // out_j = sum_i in_i * conj(op(j, i)): row j of op.
+              for (long long j = 0; j < b; ++j) {
+                Complex acc{0.0, 0.0};
+                for (std::size_t k = rows.start[static_cast<std::size_t>(j)];
+                     k < rows.start[static_cast<std::size_t>(j + 1)]; ++k) {
+                  acc += in[static_cast<std::size_t>(rows.col[k])] *
+                         std::conj(rows.val[k]);
+                }
+                out[static_cast<std::size_t>(j)] = acc;
               }
-              out[static_cast<std::size_t>(j)] = acc;
+            } else {
+              // out_j = sum_i in_i * op(i, j): row i of op scattered into
+              // out, so every out_j still sees ascending i.
+              std::fill(out.begin(), out.end(), Complex{0.0, 0.0});
+              for (long long i = 0; i < b; ++i) {
+                for (std::size_t k = rows.start[static_cast<std::size_t>(i)];
+                     k < rows.start[static_cast<std::size_t>(i + 1)]; ++k) {
+                  out[static_cast<std::size_t>(rows.col[k])] +=
+                      in[static_cast<std::size_t>(i)] * rows.val[k];
+                }
+              }
             }
             for (long long j = 0; j < b; ++j) {
               row[static_cast<std::size_t>(

@@ -22,13 +22,13 @@
 // CVec / CMat convert implicitly (AoS), SplitBuffer converts to an SoA
 // view, and no caller ever names a layout. Each kernel resolves the SIMD
 // dispatch level once on the calling thread (linalg/simd.hpp) and picks a
-// path: the scalar AoS loops are kept verbatim as the kScalar reference
-// (byte-identical to the pre-SIMD engine), the vector levels run gather /
-// block-apply / scatter over split-complex buffers, and operators too
-// sparse to pay for dense vector arithmetic (PackedOp::dense_enough) stay
-// on the zero-skip loops. Every path fixes its summation order as a pure
-// function of the shape, so each (level, layout) pair is deterministic
-// across the kernel-thread axis.
+// path: the scalar AoS loops walk the operator's nonzeros (SparseRows) as
+// the kScalar reference (byte-identical to the pre-SIMD engine's zero-skip
+// scans), the vector levels run gather / block-apply / scatter over
+// split-complex buffers, and operators too sparse to pay for dense vector
+// arithmetic (SparseRows::dense_enough) stay on the row walks. Every path
+// fixes its summation order as a pure function of the shape, so each
+// (level, layout) pair is deterministic across the kernel-thread axis.
 //
 // embed_operator remains as the reference implementation; the randomized
 // property tests in tests/local_ops_test.cpp cross-validate every entry
@@ -42,6 +42,27 @@
 #include "quantum/state.hpp"
 
 namespace dqma::quantum {
+
+/// Row-compressed nonzeros of a square local operator, the form every
+/// zero-skip kernel walks: row i's entries are [start[i], start[i + 1]) of
+/// col / val, columns ascending. A b x b block then costs O(nnz) instead of
+/// O(b^2), and every output still sums the same products in the same order
+/// as a full scan that skips exact zeros. The zero test is component-wise,
+/// so subnormal entries are kept.
+struct SparseRows {
+  explicit SparseRows(const CMat& op);
+
+  /// Whether dense vector arithmetic beats the row walk for `op`: at least
+  /// a quarter of its entries are nonzero. Decided before either form is
+  /// built, and stops scanning once that many are found.
+  static bool dense_enough(const CMat& op);
+
+  long long rows() const { return static_cast<long long>(start.size()) - 1; }
+
+  std::vector<std::size_t> start;
+  std::vector<int> col;
+  std::vector<Complex> val;
+};
 
 /// Precomputed stride tables for applying operators on the listed registers
 /// (in the listed order, which may be non-adjacent and permuted) of a
@@ -75,9 +96,9 @@ class LocalOpPlan {
   std::vector<long long> free_off_;
 };
 
-/// psi <- (op tensor I) psi in place over a flat state view. O(D * b) plus
-/// the op's sparsity wins (exact-zero entries are skipped, so permutation
-/// blocks cost O(D)).
+/// psi <- (op tensor I) psi in place over a flat state view. O(D * b) on
+/// the dense split path; operators too sparse for it walk their nonzero
+/// rows in O(D * nnz / b) (a permutation block costs O(D)).
 void apply_local(const LocalOpPlan& plan, const CMat& op,
                  linalg::MutComplexView psi);
 

@@ -6,16 +6,19 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <set>
 #include <vector>
 
 #include "dqma/exact_runner.hpp"
 #include "linalg/eigen.hpp"
+#include "linalg/simd.hpp"
 #include "quantum/density.hpp"
 #include "quantum/local_ops.hpp"
 #include "quantum/partial_trace.hpp"
 #include "quantum/random.hpp"
+#include "quantum/unitary.hpp"
 #include "support/test_support.hpp"
 #include "sweep/parallel.hpp"
 #include "sweep/sweep.hpp"
@@ -261,11 +264,19 @@ TEST(ThreadedKernelDeterminismTest, ApplyLocalStateVector) {
   const CMat u = dqma::quantum::haar_unitary(16, rng);
   const CVec psi0 = dqma::quantum::haar_state(16384, rng);
   const LocalOpPlan plan(shape, {1, 5});
-  expect_threads_invariant_vec([&] {
-    CVec psi = psi0;
-    dqma::quantum::apply_local(plan, u, psi);
-    return psi;
-  });
+  // (I + SWAP)/2 on the pair: 28 of 256 entries, so every level takes the
+  // sparse row walk instead of the dense split path.
+  CMat swap_effect = dqma::quantum::swap_unitary(4);
+  swap_effect += CMat::identity(16);
+  swap_effect *= Complex{0.5, 0.0};
+  const CMat* ops[] = {&u, &swap_effect};
+  for (const CMat* op : ops) {
+    expect_threads_invariant_vec([&] {
+      CVec psi = psi0;
+      dqma::quantum::apply_local(plan, *op, psi);
+      return psi;
+    });
+  }
 }
 
 TEST(ThreadedKernelDeterminismTest, ExpectationLocalPureAndDensity) {
@@ -347,6 +358,89 @@ TEST(ThreadedKernelDeterminismTest, AnalyzerAssemblyAndMatrixFreeMatvec) {
                                  ExactEqPathAnalyzer::Mode::kMatrixFree);
     return mf.worst_case_accept(/*max_iters=*/32);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Byte pins of the matrix-free exact analyzer. Its (I + SWAP)/2 effect is
+// too sparse for the dense split path, so the matvec and the product
+// optimizer walk its nonzeros; these recorded bit patterns prove that walk
+// reproduces the full zero-skip scans bit for bit. Inputs avoid libm
+// (uniform draws and sqrt only) except the optimizer's Haar restarts.
+// ---------------------------------------------------------------------------
+
+std::uint64_t double_bits(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+/// FNV-1a over the bit patterns of a vector's amplitudes.
+std::uint64_t amplitude_hash(const CVec& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < v.dim(); ++i) {
+    for (const double part : {v[i].real(), v[i].imag()}) {
+      std::uint64_t u = double_bits(part);
+      for (int k = 0; k < 8; ++k) {
+        h = (h ^ (u & 0xffU)) * 0x100000001b3ULL;
+        u >>= 8;
+      }
+    }
+  }
+  return h;
+}
+
+/// Normalized vector of uniform draws in [-1/2, 1/2) + i[-1/2, 1/2).
+CVec uniform_state(int dim, Rng& rng) {
+  CVec v(dim);
+  for (int i = 0; i < dim; ++i) {
+    const double re = rng.next_double() - 0.5;
+    v[i] = Complex{re, rng.next_double() - 0.5};
+  }
+  v.normalize();
+  return v;
+}
+
+TEST(ExactAnalyzerBytePinTest, MatrixFreeOutputsMatchRecordedBits) {
+  using dqma::protocol::ExactEqPathAnalyzer;
+  namespace simd = dqma::linalg::simd;
+  struct Pin {
+    simd::Level level;
+    std::uint64_t apply_hash;
+    std::uint64_t product_accept;
+    std::uint64_t best_product_accept;
+  };
+  const Pin pins[] = {
+      {simd::Level::kScalar, 0x6a18d4a2904eec6cULL, 0x3f75bd821d4185b6ULL,
+       0x3fe96fa39238bed1ULL},
+      {simd::Level::kAvx2, 0x364678bc26de0690ULL, 0x3f75bd821d4185b6ULL,
+       0x3fe96fa39238bed1ULL},
+      {simd::Level::kAvx512, 0x364678bc26de0690ULL, 0x3f75bd821d4185b6ULL,
+       0x3fe96fa39238bed1ULL},
+  };
+  Rng rng(0x5eed);
+  const CVec hx = uniform_state(5, rng);
+  const CVec hy = uniform_state(5, rng);
+  const CVec probe = uniform_state(15625, rng);  // 5^6, r = 4
+  std::vector<CVec> regs;
+  for (int k = 0; k < 6; ++k) {
+    regs.push_back(uniform_state(5, rng));
+  }
+  const ExactEqPathAnalyzer analyzer(hx, hy, 4,
+                                     ExactEqPathAnalyzer::Mode::kMatrixFree);
+  for (const Pin& pin : pins) {
+    if (!simd::is_supported(pin.level)) {
+      continue;
+    }
+    const simd::LevelScope scope(pin.level);
+    Rng optimizer(77);
+    const std::uint64_t got[] = {
+        amplitude_hash(analyzer.apply_acceptance(probe)),
+        double_bits(analyzer.product_accept(regs)),
+        double_bits(analyzer.best_product_accept(optimizer, 2, 20))};
+    EXPECT_EQ(got[0], pin.apply_hash) << simd::level_name(pin.level);
+    EXPECT_EQ(got[1], pin.product_accept) << simd::level_name(pin.level);
+    EXPECT_EQ(got[2], pin.best_product_accept) << simd::level_name(pin.level);
+  }
 }
 
 TEST(ThreadedKernelDeterminismTest, IsAlsoInvariantInsideSweepJobs) {

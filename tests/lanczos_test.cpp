@@ -127,37 +127,68 @@ TEST_F(LanczosTest, DimensionEdges) {
 
 TEST_F(LanczosTest, ByteDeterminismAcrossKernelThreads) {
   const CMat rho = dqma::quantum::random_density(64, rng());
+  // 2^14 dims, so the reorthogonalization reductions split into several
+  // chunks: diag(i / n) plus a rank-one spike 2 |v><v|, a PSD operator
+  // with a clear top gap, applied serially by the callback.
+  const int n = 1 << 14;
+  const CVec spike = dqma::quantum::haar_state(n, rng());
+  const CallbackOperator large(
+      [&](const CVec& x) {
+        CVec y = spike * (spike.dot(x) * 2.0);
+        for (int i = 0; i < n; ++i) {
+          y[i] += x[i] * (static_cast<double>(i) / n);
+        }
+        return y;
+      },
+      n);
   const std::vector<simd::Level> levels = {
       simd::Level::kScalar, simd::clamp_to_supported(simd::Level::kAvx2)};
   for (const simd::Level level : levels) {
     const simd::LevelScope level_scope(level);
-    std::vector<std::vector<double>> runs;
-    std::vector<long long> matvecs;
-    for (const int threads : {1, 3, 8}) {
-      const dqma::sweep::KernelThreadScope thread_scope(threads);
-      // The operator packs at construction under the active level; the
-      // parallel row panels inside apply() are what the thread axis probes.
-      const DenseOperator op(rho);
-      CVec vec;
-      SpectralStats stats;
-      const double theta = top_eigenvalue_psd(
-          op, options_for(Method::kLanczos), &vec, &stats);
-      std::vector<double> bytes;
-      bytes.push_back(theta);
-      for (int i = 0; i < vec.dim(); ++i) {
-        bytes.push_back(vec[i].real());
-        bytes.push_back(vec[i].imag());
+    for (const bool use_large : {false, true}) {
+      std::vector<std::vector<double>> runs;
+      std::vector<long long> matvecs;
+      for (const int threads : {1, 3, 8}) {
+        const dqma::sweep::KernelThreadScope thread_scope(threads);
+        // The dense operator packs at construction under the active level;
+        // its parallel row panels and the reorthogonalization chunks are
+        // what the thread axis probes.
+        const DenseOperator dense(rho);
+        const dqma::linalg::LinearOperator& op =
+            use_large ? static_cast<const dqma::linalg::LinearOperator&>(large)
+                      : dense;
+        CVec vec;
+        SpectralStats stats;
+        const double theta = top_eigenvalue_psd(
+            op, options_for(Method::kLanczos), &vec, &stats);
+        std::vector<double> bytes;
+        bytes.push_back(theta);
+        for (int i = 0; i < vec.dim(); ++i) {
+          bytes.push_back(vec[i].real());
+          bytes.push_back(vec[i].imag());
+        }
+        runs.push_back(std::move(bytes));
+        matvecs.push_back(stats.matvecs);
+        EXPECT_TRUE(stats.converged);
       }
-      runs.push_back(std::move(bytes));
-      matvecs.push_back(stats.matvecs);
-    }
-    for (std::size_t k = 1; k < runs.size(); ++k) {
-      ASSERT_EQ(runs[k].size(), runs[0].size());
-      EXPECT_EQ(std::memcmp(runs[k].data(), runs[0].data(),
-                            runs[0].size() * sizeof(double)),
-                0)
-          << "thread-axis byte drift at level " << simd::level_name(level);
-      EXPECT_EQ(matvecs[k], matvecs[0]);
+      if (use_large) {
+        // Several basis vectors deep, the region is split into chunks.
+        EXPECT_GT(dqma::sweep::plan_chunks(
+                      static_cast<std::size_t>(n),
+                      dqma::sweep::grain_for_ops(static_cast<std::size_t>(
+                          matvecs[0])))
+                      .chunks,
+                  1u);
+      }
+      for (std::size_t k = 1; k < runs.size(); ++k) {
+        ASSERT_EQ(runs[k].size(), runs[0].size());
+        EXPECT_EQ(std::memcmp(runs[k].data(), runs[0].data(),
+                              runs[0].size() * sizeof(double)),
+                  0)
+            << "thread-axis byte drift at level " << simd::level_name(level)
+            << (use_large ? " (2^14 callback)" : " (dense 64)");
+        EXPECT_EQ(matvecs[k], matvecs[0]);
+      }
     }
   }
 }

@@ -12,6 +12,7 @@
 
 #include "dqma/exact_runner.hpp"
 #include "linalg/eigen.hpp"
+#include "linalg/simd.hpp"
 #include "quantum/density.hpp"
 #include "quantum/local_ops.hpp"
 #include "quantum/random.hpp"
@@ -39,8 +40,11 @@ using dqma::quantum::project_local;
 using dqma::quantum::PureState;
 using dqma::quantum::RegisterShape;
 using dqma::quantum::sandwich_local;
+using dqma::quantum::SparseRows;
 using dqma::test::SeededTest;
+using dqma::test::supported_simd_levels;
 using dqma::util::Rng;
+namespace simd = dqma::linalg::simd;
 
 /// Shapes and register subsets exercised by every property test: mixed
 /// register dimensions, adjacent and non-adjacent subsets, permuted lists.
@@ -71,7 +75,60 @@ CMat random_mixed_matrix(const RegisterShape& shape, Rng& rng) {
   return rho;
 }
 
+/// Sparse b x b operators that fail SparseRows::dense_enough at realistic
+/// block sizes, so vector levels reach the row walk too: (I + SWAP)/2 when
+/// b is a square, a random permutation, and a ~10% random mask holding one
+/// subnormal entry.
+std::vector<CMat> sparse_operators(int b, Rng& rng) {
+  std::vector<CMat> ops;
+  const int d = static_cast<int>(std::lround(std::sqrt(b)));
+  if (d * d == b) {
+    CMat swap_effect = dqma::quantum::swap_unitary(d);
+    swap_effect += CMat::identity(b);
+    swap_effect *= Complex{0.5, 0.0};
+    ops.push_back(swap_effect);
+  }
+  std::vector<int> perm(static_cast<std::size_t>(b));
+  for (int i = 0; i < b; ++i) perm[static_cast<std::size_t>(i)] = i;
+  for (int i = b - 1; i > 0; --i) {
+    std::swap(perm[static_cast<std::size_t>(i)],
+              perm[rng.next_below(static_cast<std::uint64_t>(i) + 1)]);
+  }
+  CMat permutation(b, b);
+  for (int i = 0; i < b; ++i) {
+    permutation(i, perm[static_cast<std::size_t>(i)]) = Complex{1.0, 0.0};
+  }
+  ops.push_back(permutation);
+  CMat mask(b, b);
+  for (int i = 0; i < b; ++i) {
+    for (int j = 0; j < b; ++j) {
+      if (rng.next_bool(0.1)) {
+        mask(i, j) = Complex{rng.next_gaussian(), rng.next_gaussian()};
+      }
+    }
+  }
+  mask(static_cast<int>(rng.next_below(static_cast<std::uint64_t>(b))), 0) =
+      Complex{0.0, 1e-310};
+  ops.push_back(mask);
+  return ops;
+}
+
 class LocalOpsPropertyTest : public SeededTest {};
+
+TEST_F(LocalOpsPropertyTest, SparseRowsKeepSubnormalsInColumnOrder) {
+  CMat op(3, 3);
+  op(0, 2) = Complex{2.0, 0.0};
+  op(0, 0) = Complex{0.0, -1.0};
+  op(2, 1) = Complex{1e-310, 0.0};  // subnormal: std::norm would drop it
+  const SparseRows rows(op);
+  EXPECT_EQ(rows.rows(), 3);
+  EXPECT_EQ(rows.start, (std::vector<std::size_t>{0, 2, 2, 3}));
+  EXPECT_EQ(rows.col, (std::vector<int>{0, 2, 1}));
+  EXPECT_EQ(rows.val[2], op(2, 1));
+  EXPECT_TRUE(SparseRows::dense_enough(op));  // 3 of 9 entries
+  EXPECT_FALSE(SparseRows::dense_enough(CMat::identity(5)));  // 5 of 25
+  EXPECT_TRUE(SparseRows::dense_enough(CMat::identity(4)));   // 4 of 16
+}
 
 TEST_F(LocalOpsPropertyTest, PlanOffsetsMatchShapeFlatten) {
   const RegisterShape shape({2, 3, 2});
@@ -102,32 +159,48 @@ TEST_F(LocalOpsPropertyTest, PlanRejectsBadRegisters) {
 }
 
 TEST_F(LocalOpsPropertyTest, ApplyLocalMatchesEmbeddedOperator) {
-  for (const Case& c : property_cases()) {
-    const RegisterShape shape(c.dims);
-    const int total = static_cast<int>(shape.total_dim());
-    long long block = 1;
-    for (const int r : c.regs) block *= shape.dim(r);
-    const CMat u = haar_unitary(static_cast<int>(block), rng());
-    CVec psi = haar_state(total, rng());
-    const CVec expected = embed_operator(shape, u, c.regs) * psi;
-    apply_local(shape, u, c.regs, psi);
-    EXPECT_STATE_NEAR(psi, expected);
+  for (const simd::Level level : supported_simd_levels()) {
+    const simd::LevelScope scope(level);
+    for (const Case& c : property_cases()) {
+      const RegisterShape shape(c.dims);
+      const int total = static_cast<int>(shape.total_dim());
+      long long block = 1;
+      for (const int r : c.regs) block *= shape.dim(r);
+      std::vector<CMat> ops = sparse_operators(static_cast<int>(block), rng());
+      ops.push_back(haar_unitary(static_cast<int>(block), rng()));
+      for (const CMat& op : ops) {
+        CVec psi = haar_state(total, rng());
+        const CVec expected = embed_operator(shape, op, c.regs) * psi;
+        apply_local(shape, op, c.regs, psi);
+        EXPECT_STATE_NEAR(psi, expected) << simd::level_name(level);
+      }
+    }
   }
 }
 
 TEST_F(LocalOpsPropertyTest, PureExpectationMatchesEmbeddedOperator) {
-  for (const Case& c : property_cases()) {
-    const RegisterShape shape(c.dims);
-    const int total = static_cast<int>(shape.total_dim());
-    long long block = 1;
-    for (const int r : c.regs) block *= shape.dim(r);
-    // Hermitian effect: projector onto a random local state.
-    const CMat effect = CMat::projector(haar_state(static_cast<int>(block), rng()));
-    const CVec psi = haar_state(total, rng());
-    const CVec image = embed_operator(shape, effect, c.regs) * psi;
-    const LocalOpPlan plan(shape, c.regs);
-    EXPECT_NEAR(expectation_local(plan, effect, psi), psi.dot(image).real(),
-                1e-10);
+  for (const simd::Level level : supported_simd_levels()) {
+    const simd::LevelScope scope(level);
+    for (const Case& c : property_cases()) {
+      const RegisterShape shape(c.dims);
+      const int total = static_cast<int>(shape.total_dim());
+      long long block = 1;
+      for (const int r : c.regs) block *= shape.dim(r);
+      // A projector onto a random local state, plus the sparse operators
+      // (the real part of <psi|E|psi> is compared, Hermitian or not).
+      std::vector<CMat> effects =
+          sparse_operators(static_cast<int>(block), rng());
+      effects.push_back(
+          CMat::projector(haar_state(static_cast<int>(block), rng())));
+      const LocalOpPlan plan(shape, c.regs);
+      for (const CMat& effect : effects) {
+        const CVec psi = haar_state(total, rng());
+        const CVec image = embed_operator(shape, effect, c.regs) * psi;
+        EXPECT_NEAR(expectation_local(plan, effect, psi),
+                    psi.dot(image).real(), 1e-10)
+            << simd::level_name(level);
+      }
+    }
   }
 }
 

@@ -191,6 +191,17 @@ std::vector<std::uint64_t> reference_stream(std::uint64_t seed, int count) {
   return out;
 }
 
+std::vector<linalg::simd::Level> supported_simd_levels() {
+  namespace simd = linalg::simd;
+  std::vector<simd::Level> levels{simd::Level::kScalar};
+  for (const simd::Level level : {simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (simd::is_supported(level)) {
+      levels.push_back(level);
+    }
+  }
+  return levels;
+}
+
 CVec reference_haar_state(int dim, std::uint64_t seed) {
   Rng rng(seed);
   return quantum::haar_state(dim, rng);

@@ -21,6 +21,7 @@
 #include "dqma/model.hpp"
 #include "dqma/runner.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/simd.hpp"
 #include "linalg/vector.hpp"
 #include "quantum/density.hpp"
 #include "util/bitstring.hpp"
@@ -125,6 +126,10 @@ Bitstring random_unequal_to(const Bitstring& x, Rng& rng);
 
 /// `count` Haar-random states of dimension `dim` from `rng`.
 std::vector<CVec> haar_states(int dim, int count, Rng& rng);
+
+/// Every SIMD dispatch level this host can execute, scalar first — the
+/// axis kernel tests iterate under linalg::simd::LevelScope.
+std::vector<linalg::simd::Level> supported_simd_levels();
 
 // ---------------------------------------------------------------------------
 // Protocol-run harness: chain DP engine (dqma/runner.hpp)
