@@ -48,6 +48,14 @@ std::vector<CVec> geodesic_states(const CVec& a, const CVec& b, int count) {
   return out;
 }
 
+PathProof uniform_proof(const CVec& state, int inner) {
+  require(inner >= 0, "uniform_proof: negative node count");
+  PathProof proof;
+  proof.reg0.assign(static_cast<std::size_t>(inner), state);
+  proof.reg1 = proof.reg0;
+  return proof;
+}
+
 PathProof rotation_attack(const CVec& hx, const CVec& hy, int inner) {
   PathProof proof;
   const auto states = geodesic_states(hx, hy, inner);
@@ -67,7 +75,7 @@ PathProof step_attack(const CVec& hx, const CVec& hy, int inner, int cut) {
 }
 
 PathProof all_target_attack(const CVec& hy, int inner) {
-  return step_attack(hy, hy, inner, 0);
+  return uniform_proof(hy, inner);
 }
 
 PathProofReps replicate(const PathProof& proof, int reps) {

@@ -32,6 +32,10 @@ using util::Bitstring;
 std::vector<linalg::CVec> geodesic_states(const linalg::CVec& a,
                                           const linalg::CVec& b, int count);
 
+/// Every register of the `inner` intermediate nodes holds `state`: the
+/// honest proof of one repetition when `state` is the source's fingerprint.
+PathProof uniform_proof(const linalg::CVec& state, int inner);
+
 /// Rotation attack proof for a path protocol with `inner` intermediate
 /// nodes: both registers of node j hold the geodesic state at fraction
 /// j/(inner+1).
@@ -45,7 +49,8 @@ PathProof step_attack(const linalg::CVec& hx, const linalg::CVec& hy,
 /// All-target attack: every node holds |h_y>.
 PathProof all_target_attack(const linalg::CVec& hy, int inner);
 
-/// Replicates a single-repetition attack across k repetitions.
+/// Replicates a single-repetition proof across k repetitions (the general
+/// k-copy form; evaluators fold identical repetitions instead).
 PathProofReps replicate(const PathProof& proof, int reps);
 
 }  // namespace dqma::protocol

@@ -5,6 +5,7 @@
 
 #include "dqma/attacks.hpp"
 #include "dqma/noise.hpp"
+#include "dqma/runner.hpp"
 #include "qtest/permutation_test.hpp"
 #include "qtest/swap_test.hpp"
 #include "util/require.hpp"
@@ -66,13 +67,17 @@ CostProfile EqGraphProtocol::costs() const {
   return c;
 }
 
+EqGraphProtocol::TreeProof EqGraphProtocol::honest_rep(
+    const Bitstring& x) const {
+  TreeProof one;
+  one.reg0.assign(static_cast<std::size_t>(tree_.size()), scheme_.state(x));
+  one.reg1 = one.reg0;
+  return one;
+}
+
 EqGraphProtocol::TreeProofReps EqGraphProtocol::honest_proof(
     const Bitstring& x) const {
-  const CVec hx = scheme_.state(x);
-  TreeProof one;
-  one.reg0.assign(static_cast<std::size_t>(tree_.size()), hx);
-  one.reg1 = one.reg0;
-  return TreeProofReps(static_cast<std::size_t>(reps_), one);
+  return TreeProofReps(static_cast<std::size_t>(reps_), honest_rep(x));
 }
 
 double EqGraphProtocol::accept_one_rep(const std::vector<Bitstring>& inputs,
@@ -226,7 +231,8 @@ double EqGraphProtocol::accept_probability(
 double EqGraphProtocol::completeness(const Bitstring& x) const {
   const std::vector<Bitstring> inputs(
       static_cast<std::size_t>(terminal_count()), x);
-  return accept_probability(inputs, honest_proof(x));
+  // Every honest repetition is the same: evaluate one, fold it k times.
+  return fold_repetitions(accept_one_rep(inputs, honest_rep(x)), reps_);
 }
 
 double EqGraphProtocol::best_attack_accept(
@@ -296,7 +302,8 @@ double EqGraphProtocol::noisy_completeness(const Bitstring& x,
                                            const NoiseModel& link_noise) const {
   const std::vector<Bitstring> inputs(
       static_cast<std::size_t>(terminal_count()), x);
-  return noisy_accept_probability(inputs, honest_proof(x), link_noise);
+  return fold_repetitions(
+      accept_one_rep_impl(inputs, honest_rep(x), &link_noise), reps_);
 }
 
 double EqGraphProtocol::noisy_best_attack_accept(

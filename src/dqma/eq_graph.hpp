@@ -67,6 +67,9 @@ class EqGraphProtocol {
   double single_rep_accept(const std::vector<Bitstring>& inputs,
                            const TreeProof& proof) const;
 
+  /// Acceptance of the honest proof on the all-equal input x: one
+  /// repetition evaluated and folded k times, bit-identical to
+  /// accept_probability(inputs, honest_proof(x)).
   double completeness(const Bitstring& x) const;
 
   /// Strongest implemented product attack when some input deviates:
@@ -104,6 +107,8 @@ class EqGraphProtocol {
   fingerprint::FingerprintScheme scheme_;
   network::SpanningTree tree_;
   std::vector<int> input_of_node_;  ///< terminal index or -1 per tree node
+
+  TreeProof honest_rep(const Bitstring& x) const;
 
   double accept_one_rep(const std::vector<Bitstring>& inputs,
                         const TreeProof& proof) const;

@@ -64,12 +64,12 @@ CostProfile EqPathProtocol::costs_for(int n, int r, double delta, int reps,
   return eq_path_costs(fingerprint_qubits(n, delta), r, reps, mode);
 }
 
+PathProof EqPathProtocol::honest_rep(const Bitstring& x) const {
+  return uniform_proof(scheme_.state(x), std::max(0, r_ - 1));
+}
+
 PathProofReps EqPathProtocol::honest_proof(const Bitstring& x) const {
-  const CVec hx = scheme_.state(x);
-  PathProof one;
-  one.reg0.assign(static_cast<std::size_t>(std::max(0, r_ - 1)), hx);
-  one.reg1 = one.reg0;
-  return replicate(one, reps_);
+  return replicate(honest_rep(x), reps_);
 }
 
 double EqPathProtocol::accept_one_rep(const Bitstring& x, const Bitstring& y,
@@ -179,7 +179,8 @@ double EqPathProtocol::accept_probability(const Bitstring& x,
 }
 
 double EqPathProtocol::completeness(const Bitstring& x) const {
-  return accept_probability(x, x, honest_proof(x));
+  // Every honest repetition is the same: evaluate one, fold it k times.
+  return fold_repetitions(accept_one_rep(x, x, honest_rep(x)), reps_);
 }
 
 double EqPathProtocol::best_attack_accept(const Bitstring& x,

@@ -68,15 +68,18 @@ class EqPathProtocol {
   double accept_probability(const Bitstring& x, const Bitstring& y,
                             const PathProofReps& proof) const;
 
-  /// Exact acceptance of a single repetition (the k-fold protocol with the
-  /// same proof in every repetition accepts with this value to the k-th
-  /// power; attack search uses this to avoid re-evaluating k copies).
+  /// Exact acceptance of a single repetition. The k-fold protocol with the
+  /// same proof in every repetition accepts with this value folded k times
+  /// (fold_repetitions in dqma/runner.hpp, bit-identical to
+  /// accept_probability on k copies); best_attack_accept raises its best
+  /// single-repetition value to the k-th power with std::pow.
   double single_rep_accept(const Bitstring& x, const Bitstring& y,
                            const PathProof& proof) const;
 
   /// Completeness: acceptance of the honest run (exactly 1 in
   /// kSymmetrized / kNoSymmetrization; 1 in kFgnpForwarding as well since
-  /// all fingerprints agree).
+  /// all fingerprints agree). Evaluates one repetition and folds it:
+  /// bit-identical to accept_probability(x, x, honest_proof(x)).
   double completeness(const Bitstring& x) const;
 
   /// Acceptance under the strongest implemented product attack (see
@@ -90,6 +93,8 @@ class EqPathProtocol {
   EqPathMode mode_;
   fingerprint::FingerprintScheme scheme_;
 
+  /// One repetition of the honest proof.
+  PathProof honest_rep(const Bitstring& x) const;
   double accept_one_rep(const Bitstring& x, const Bitstring& y,
                         const PathProof& proof) const;
   double accept_fgnp_rep(const Bitstring& x, const Bitstring& y,

@@ -77,27 +77,32 @@ CostProfile ForallFProtocol::costs() const {
   return c;
 }
 
+ForallFProtocol::TreeProof ForallFProtocol::honest_tree(
+    int j, const std::vector<Bitstring>& inputs) const {
+  const auto& tree = trees_[static_cast<std::size_t>(j)];
+  const Message honest =
+      protocol_.honest_message(inputs[static_cast<std::size_t>(j)]);
+  TreeProof one;
+  one.bundles.resize(static_cast<std::size_t>(tree.size()));
+  for (int v = 0; v < tree.size(); ++v) {
+    const auto& node = tree.node(v);
+    const bool internal = node.parent >= 0 && !node.children.empty();
+    if (internal) {
+      one.bundles[static_cast<std::size_t>(v)].assign(node.children.size() + 1,
+                                                      honest);
+    }
+  }
+  return one;
+}
+
 ForallFProtocol::Proof ForallFProtocol::honest_proof(
     const std::vector<Bitstring>& inputs) const {
   require(static_cast<int>(inputs.size()) == terminal_count(),
           "ForallFProtocol: input count mismatch");
   Proof proof(static_cast<std::size_t>(terminal_count()));
   for (int j = 0; j < terminal_count(); ++j) {
-    const auto& tree = trees_[static_cast<std::size_t>(j)];
-    const Message honest =
-        protocol_.honest_message(inputs[static_cast<std::size_t>(j)]);
-    TreeProof one;
-    one.bundles.resize(static_cast<std::size_t>(tree.size()));
-    for (int v = 0; v < tree.size(); ++v) {
-      const auto& node = tree.node(v);
-      const bool internal = node.parent >= 0 && !node.children.empty();
-      if (internal) {
-        one.bundles[static_cast<std::size_t>(v)].assign(
-            node.children.size() + 1, honest);
-      }
-    }
     proof[static_cast<std::size_t>(j)].assign(static_cast<std::size_t>(reps_),
-                                              one);
+                                              honest_tree(j, inputs));
   }
   return proof;
 }
@@ -147,6 +152,7 @@ ForallFProtocol::CompiledTreeProof ForallFProtocol::compile_tree(
       protocol_.honest_message(inputs[static_cast<std::size_t>(j)]);
 
   CompiledTreeProof compiled;
+  compiled.tree = j;
   compiled.swap_accept.resize(static_cast<std::size_t>(tree.size()));
   compiled.leaf_accept.resize(static_cast<std::size_t>(tree.size()));
   for (int v = 0; v < tree.size(); ++v) {
@@ -206,9 +212,9 @@ ForallFProtocol::CompiledTreeProof ForallFProtocol::compile_tree(
 }
 
 double ForallFProtocol::sample_compiled_accept(
-    int j, const CompiledTreeProof& compiled, util::Rng& rng,
+    const CompiledTreeProof& compiled, util::Rng& rng,
     std::vector<int>& perm_scratch, std::vector<int>& arrived_scratch) const {
-  const auto& tree = trees_[static_cast<std::size_t>(j)];
+  const auto& tree = trees_[static_cast<std::size_t>(compiled.tree)];
   // arrived[v]: which of the parent's copies reached v (0 when the parent
   // is the root). Same walk, same Fisher-Yates draws, same multiplication
   // order as the former per-shot evaluation — only the probabilities come
@@ -253,33 +259,17 @@ double ForallFProtocol::sample_compiled_accept(
   return accept;
 }
 
-MonteCarloEstimate ForallFProtocol::accept_probability(
-    const std::vector<Bitstring>& inputs, const Proof& proof, util::Rng& rng,
-    int samples) const {
-  require(static_cast<int>(proof.size()) == terminal_count(),
-          "ForallFProtocol: proof tree count mismatch");
-  require(samples >= 1, "ForallFProtocol: need at least one sample");
-  // Precompute every (tree, repetition)'s acceptance tables once; the
-  // sampling loop below is then permutation draws and lookups only, with
-  // no per-shot state preparation or std::function dispatch.
-  std::vector<std::vector<CompiledTreeProof>> compiled(
-      static_cast<std::size_t>(terminal_count()));
-  for (int j = 0; j < terminal_count(); ++j) {
-    const auto& reps = proof[static_cast<std::size_t>(j)];
-    compiled[static_cast<std::size_t>(j)].reserve(reps.size());
-    for (const auto& rep : reps) {
-      compiled[static_cast<std::size_t>(j)].push_back(
-          compile_tree(j, inputs, rep));
-    }
-  }
+MonteCarloEstimate ForallFProtocol::sample_accept(
+    const std::vector<const CompiledTreeProof*>& tables, int walks,
+    util::Rng& rng, int samples) const {
   std::vector<int> perm_scratch;
   std::vector<int> arrived_scratch;
   RunningStat stat;
   for (int s = 0; s < samples; ++s) {
     double accept = 1.0;
-    for (int j = 0; j < terminal_count() && accept != 0.0; ++j) {
-      for (const auto& rep : compiled[static_cast<std::size_t>(j)]) {
-        accept *= sample_compiled_accept(j, rep, rng, perm_scratch,
+    for (std::size_t t = 0; t < tables.size() && accept != 0.0; ++t) {
+      for (int w = 0; w < walks; ++w) {
+        accept *= sample_compiled_accept(*tables[t], rng, perm_scratch,
                                          arrived_scratch);
         if (accept == 0.0) {
           break;
@@ -291,12 +281,48 @@ MonteCarloEstimate ForallFProtocol::accept_probability(
   return stat.finalize();
 }
 
+MonteCarloEstimate ForallFProtocol::accept_probability(
+    const std::vector<Bitstring>& inputs, const Proof& proof, util::Rng& rng,
+    int samples) const {
+  require(static_cast<int>(proof.size()) == terminal_count(),
+          "ForallFProtocol: proof tree count mismatch");
+  require(samples >= 1, "ForallFProtocol: need at least one sample");
+  // An arbitrary proof may differ per repetition: compile every (tree,
+  // repetition) once and walk each table once per shot, trees in order.
+  std::vector<CompiledTreeProof> compiled;
+  for (int j = 0; j < terminal_count(); ++j) {
+    for (const auto& rep : proof[static_cast<std::size_t>(j)]) {
+      compiled.push_back(compile_tree(j, inputs, rep));
+    }
+  }
+  std::vector<const CompiledTreeProof*> tables;
+  tables.reserve(compiled.size());
+  for (const auto& table : compiled) {
+    tables.push_back(&table);
+  }
+  return sample_accept(tables, 1, rng, samples);
+}
+
 MonteCarloEstimate ForallFProtocol::best_attack_accept(
     const std::vector<Bitstring>& inputs, util::Rng& rng, int samples) const {
+  require(static_cast<int>(inputs.size()) == terminal_count(),
+          "ForallFProtocol: input count mismatch");
+  require(samples >= 1, "ForallFProtocol: need at least one sample");
   // Identify a violated ordered pair; cheat only on the corresponding tree
-  // path (all other trees stay honest, contributing their exact honest
-  // factor).
-  Proof proof = honest_proof(inputs);
+  // path (all other trees stay honest). Every repetition of a tree carries
+  // the same proof, so each tree is compiled once and its table walked
+  // `reps` times per shot — the same draws and multiplication order as
+  // accept_probability on the k-copy proof.
+  std::vector<TreeProof> honest;
+  std::vector<CompiledTreeProof> honest_compiled;
+  std::vector<const CompiledTreeProof*> tables;
+  for (int j = 0; j < terminal_count(); ++j) {
+    honest.push_back(honest_tree(j, inputs));
+    honest_compiled.push_back(compile_tree(j, inputs, honest.back()));
+  }
+  for (const auto& table : honest_compiled) {
+    tables.push_back(&table);
+  }
   MonteCarloEstimate best;
   best.mean = -1.0;
   for (int j = 0; j < terminal_count(); ++j) {
@@ -316,7 +342,12 @@ MonteCarloEstimate ForallFProtocol::best_attack_accept(
           protocol_.honest_message(inputs[static_cast<std::size_t>(k)]);
       // Per-register geodesics with one waypoint per inner path node.
       const int inner = static_cast<int>(path.size()) - 2;
-      Proof cheat = proof;
+      std::vector<std::vector<CVec>> geodesics;
+      geodesics.reserve(source.size());
+      for (std::size_t reg = 0; reg < source.size(); ++reg) {
+        geodesics.push_back(geodesic_states(source[reg], target[reg], inner));
+      }
+      TreeProof cheat = honest[static_cast<std::size_t>(j)];
       for (int p = 1; p <= inner; ++p) {
         const int v = path[static_cast<std::size_t>(p)];
         const auto& node = tree.node(v);
@@ -326,17 +357,17 @@ MonteCarloEstimate ForallFProtocol::best_attack_accept(
         }
         Message waypoint;
         waypoint.reserve(source.size());
-        for (std::size_t reg = 0; reg < source.size(); ++reg) {
-          auto states = geodesic_states(source[reg], target[reg], inner);
-          waypoint.push_back(std::move(states[static_cast<std::size_t>(p - 1)]));
+        for (const auto& states : geodesics) {
+          waypoint.push_back(states[static_cast<std::size_t>(p - 1)]);
         }
-        for (auto& rep : cheat[static_cast<std::size_t>(j)]) {
-          rep.bundles[static_cast<std::size_t>(v)].assign(
-              node.children.size() + 1, waypoint);
-        }
+        cheat.bundles[static_cast<std::size_t>(v)].assign(
+            node.children.size() + 1, waypoint);
       }
+      const CompiledTreeProof attacked = compile_tree(j, inputs, cheat);
+      std::vector<const CompiledTreeProof*> attack_tables = tables;
+      attack_tables[static_cast<std::size_t>(j)] = &attacked;
       const MonteCarloEstimate est =
-          accept_probability(inputs, cheat, rng, samples);
+          sample_accept(attack_tables, reps_, rng, samples);
       if (est.mean > best.mean) {
         best = est;
       }

@@ -19,10 +19,12 @@
 // The Monte-Carlo path is precompute-then-sample: the message arriving at
 // a node is always one of its parent's (deg+1) bundle copies (or the
 // root's honest message), so every SWAP-test acceptance and every leaf
-// verdict is tabulated once per (tree, repetition) — O(nodes * copies^2)
-// inner products total — and each shot only samples permutations and
-// multiplies table entries. Shot values and RNG draw order are identical
-// to the former per-shot evaluation.
+// verdict is tabulated once per tree — O(nodes * copies^2) inner products
+// — and each shot only samples permutations and multiplies table entries.
+// best_attack_accept's honest and attack proofs repeat one tree proof k
+// times, so one table per tree is walked k times per shot;
+// accept_probability takes an arbitrary proof and tabulates each (tree,
+// repetition). Shot values and RNG draw order are identical either way.
 #pragma once
 
 #include <cstdint>
@@ -91,21 +93,31 @@ class ForallFProtocol {
   int reps_;
   std::vector<network::SpanningTree> trees_;
 
-  /// Acceptance tables of one (tree, repetition): every test probability a
-  /// shot can encounter, indexed by [node][arriving-copy][(own copy)].
-  /// The arriving-copy index addresses the parent's bundle (a single slot
-  /// when the parent is the root, whose honest message is fixed).
+  /// Acceptance tables of one tree proof on tree T_`tree`: every test
+  /// probability a shot can encounter, indexed by
+  /// [node][arriving-copy][(own copy)]. The arriving-copy index addresses
+  /// the parent's bundle (a single slot when the parent is the root, whose
+  /// honest message is fixed).
   struct CompiledTreeProof {
+    int tree = 0;
     std::vector<std::vector<std::vector<double>>> swap_accept;
     std::vector<std::vector<double>> leaf_accept;
   };
 
+  /// One repetition of the honest proof on tree T_j.
+  TreeProof honest_tree(int j, const std::vector<Bitstring>& inputs) const;
+
   CompiledTreeProof compile_tree(int j, const std::vector<Bitstring>& inputs,
                                  const TreeProof& proof) const;
-  double sample_compiled_accept(int j, const CompiledTreeProof& compiled,
+  double sample_compiled_accept(const CompiledTreeProof& compiled,
                                 util::Rng& rng,
                                 std::vector<int>& perm_scratch,
                                 std::vector<int>& arrived_scratch) const;
+  /// Monte-Carlo over shots: each shot walks every table `walks` times, in
+  /// order, multiplying the walks' acceptances and stopping at 0.
+  MonteCarloEstimate sample_accept(
+      const std::vector<const CompiledTreeProof*>& tables, int walks,
+      util::Rng& rng, int samples) const;
 };
 
 /// SWAP-test acceptance for two product messages: 1/2 + |prod_i <a_i|b_i>|^2 / 2.

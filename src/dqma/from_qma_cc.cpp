@@ -38,19 +38,20 @@ CostProfile QmaCcPathProtocol::costs() const {
   return c;
 }
 
-QmaCcPathProtocol::Strategy QmaCcPathProtocol::honest_strategy() const {
+PathProof QmaCcPathProtocol::honest_chain() const {
   require(instance_.yes_instance,
           "QmaCcPathProtocol: honest strategy needs a yes instance");
-  Strategy s;
   CVec message = instance_.alice * instance_.honest_proof;
   if (message.norm() > 1e-12) {
     message.normalize();
   }
-  PathProof one;
-  one.reg0.assign(static_cast<std::size_t>(std::max(0, r_ - 1)), message);
-  one.reg1 = one.reg0;
+  return uniform_proof(message, std::max(0, r_ - 1));
+}
+
+QmaCcPathProtocol::Strategy QmaCcPathProtocol::honest_strategy() const {
+  Strategy s;
+  s.chain = replicate(honest_chain(), reps_);
   s.proofs.assign(static_cast<std::size_t>(reps_), instance_.honest_proof);
-  s.chain = replicate(one, reps_);
   return s;
 }
 
@@ -90,7 +91,9 @@ double QmaCcPathProtocol::accept_probability(const Strategy& strategy) const {
 }
 
 double QmaCcPathProtocol::completeness() const {
-  return accept_probability(honest_strategy());
+  // Every honest repetition is the same: evaluate one, fold it k times.
+  return fold_repetitions(
+      accept_one_rep(instance_.honest_proof, honest_chain()), reps_);
 }
 
 double QmaCcPathProtocol::best_attack_accept() const {
@@ -137,11 +140,8 @@ double QmaCcPathProtocol::best_attack_accept() const {
     }
     message.normalize();
     // Honest-looking chain (all registers = the emitted message).
-    PathProof honest_chain;
-    honest_chain.reg0.assign(static_cast<std::size_t>(inner), message);
-    honest_chain.reg1 = honest_chain.reg0;
-    best_single =
-        std::max(best_single, accept_one_rep(proof, honest_chain));
+    best_single = std::max(
+        best_single, accept_one_rep(proof, uniform_proof(message, inner)));
     // Chain rotating from the emission toward Bob's favorite message.
     best_single = std::max(
         best_single,

@@ -44,6 +44,8 @@ class QmaCcPathProtocol {
   /// her own accept/reject into the norm of the emitted message.
   double accept_probability(const Strategy& strategy) const;
 
+  /// Acceptance of the honest strategy: one repetition evaluated and
+  /// folded k times, bit-identical to accept_probability(honest_strategy()).
   double completeness() const;
 
   /// Strongest implemented attack: the proof maximizing Alice's pass
@@ -56,6 +58,10 @@ class QmaCcPathProtocol {
   comm::QmaOneWayInstance instance_;
   int r_;
   int reps_;
+
+  /// The honest chain of one repetition (every register Alice's
+  /// normalized honest message); requires a yes instance.
+  PathProof honest_chain() const;
 
   double accept_one_rep(const linalg::CVec& proof,
                         const PathProof& chain) const;

@@ -94,32 +94,50 @@ Bitstring GtProtocol::fingerprint_input(const Bitstring& s, int index) const {
   return out;
 }
 
-GtProtocol::Strategy GtProtocol::honest_strategy(const Bitstring& x,
-                                                 const Bitstring& y) const {
+int GtProtocol::honest_index(const Bitstring& x, const Bitstring& y) const {
   require(x.size() == n_ && y.size() == n_, "GtProtocol: input length mismatch");
   require(gt_predicate(variant_, x, y),
           "GtProtocol::honest_strategy: predicate does not hold");
-  // Find the witness index.
-  int witness = -1;
+  // The witness index: the first position where the inputs differ.
   for (int i = 0; i < n_; ++i) {
     if (x.get(i) != y.get(i)) {
-      witness = i;
-      break;
+      return i;
     }
   }
-  Strategy s;
-  if (witness < 0) {
-    require(sentinel_allowed(),
-            "GtProtocol::honest_strategy: equal inputs need the sentinel");
-    s.index = n_;
-  } else {
-    s.index = witness;
+  require(sentinel_allowed(),
+          "GtProtocol::honest_strategy: equal inputs need the sentinel");
+  return n_;
+}
+
+bool GtProtocol::index_admissible(const Bitstring& x, const Bitstring& y,
+                                  int i) const {
+  if (i == n_) {
+    return sentinel_allowed();  // v_0 rejects an out-of-range index
   }
+  return x_bit_ok(x, i) && y_bit_ok(y, i);  // else v_0 or v_r rejects
+}
+
+double GtProtocol::chain_rep(const CVec& source, const CVec& target,
+                             const PathProof& rep) const {
+  require(rep.intermediate_nodes() == std::max(0, r_ - 1),
+          "GtProtocol: proof size mismatch");
+  return chain_accept(
+      source, rep,
+      [](const CVec& a, const CVec& b) {
+        return qtest::swap_test_accept(a, b);
+      },
+      [&target](const CVec& received) {
+        const double amp = std::abs(target.dot(received));
+        return amp * amp;
+      });
+}
+
+GtProtocol::Strategy GtProtocol::honest_strategy(const Bitstring& x,
+                                                 const Bitstring& y) const {
+  Strategy s;
+  s.index = honest_index(x, y);
   const CVec h = scheme_.state(fingerprint_input(x, s.index));
-  PathProof one;
-  one.reg0.assign(static_cast<std::size_t>(std::max(0, r_ - 1)), h);
-  one.reg1 = one.reg0;
-  s.proof = replicate(one, reps_);
+  s.proof = replicate(uniform_proof(h, std::max(0, r_ - 1)), reps_);
   return s;
 }
 
@@ -128,32 +146,17 @@ double GtProtocol::accept_probability(const Bitstring& x, const Bitstring& y,
   require(x.size() == n_ && y.size() == n_, "GtProtocol: input length mismatch");
   const int i = strategy.index;
   require(i >= 0 && i <= n_, "GtProtocol: index out of range");
-  if (i == n_) {
-    if (!sentinel_allowed()) {
-      return 0.0;  // v_0 rejects an out-of-range index
-    }
-  } else {
-    if (!x_bit_ok(x, i) || !y_bit_ok(y, i)) {
-      return 0.0;  // v_0 or v_r rejects deterministically
-    }
+  if (!index_admissible(x, y, i)) {
+    return 0.0;
   }
   require(static_cast<int>(strategy.proof.size()) == reps_,
           "GtProtocol: repetition count mismatch");
 
   const CVec source = scheme_.state(fingerprint_input(x, i));
   const CVec target = scheme_.state(fingerprint_input(y, i));
-  const auto swap_test = [](const CVec& a, const CVec& b) {
-    return qtest::swap_test_accept(a, b);
-  };
-  const auto final_test = [&target](const CVec& received) {
-    const double amp = std::abs(target.dot(received));
-    return amp * amp;
-  };
   double accept = 1.0;
   for (const auto& rep : strategy.proof) {
-    require(rep.intermediate_nodes() == std::max(0, r_ - 1),
-            "GtProtocol: proof size mismatch");
-    accept *= chain_accept(source, rep, swap_test, final_test);
+    accept *= chain_rep(source, target, rep);
     if (accept == 0.0) {
       break;
     }
@@ -162,7 +165,13 @@ double GtProtocol::accept_probability(const Bitstring& x, const Bitstring& y,
 }
 
 double GtProtocol::completeness(const Bitstring& x, const Bitstring& y) const {
-  return accept_probability(x, y, honest_strategy(x, y));
+  // Every honest repetition is the same: evaluate one, fold it k times.
+  const int i = honest_index(x, y);
+  const CVec source = scheme_.state(fingerprint_input(x, i));
+  const CVec target = scheme_.state(fingerprint_input(y, i));
+  return fold_repetitions(
+      chain_rep(source, target, uniform_proof(source, std::max(0, r_ - 1))),
+      reps_);
 }
 
 double GtProtocol::best_attack_accept(const Bitstring& x,
@@ -171,11 +180,8 @@ double GtProtocol::best_attack_accept(const Bitstring& x,
   double best_single = 0.0;
   const int inner = std::max(0, r_ - 1);
   const int max_index = sentinel_allowed() ? n_ : n_ - 1;
-  const auto swap_test = [](const CVec& a, const CVec& b) {
-    return qtest::swap_test_accept(a, b);
-  };
   for (int i = 0; i <= max_index; ++i) {
-    if (i < n_ && (!x_bit_ok(x, i) || !y_bit_ok(y, i))) {
+    if (!index_admissible(x, y, i)) {
       continue;
     }
     const Bitstring px = fingerprint_input(x, i);
@@ -187,18 +193,13 @@ double GtProtocol::best_attack_accept(const Bitstring& x,
     }
     const CVec hx = scheme_.state(px);
     const CVec hy = scheme_.state(py);
-    const auto final_test = [&hy](const CVec& received) {
-      const double amp = std::abs(hy.dot(received));
-      return amp * amp;
-    };
     // Single-repetition acceptance of the product attacks; the k-fold
     // protocol with identical per-repetition proofs accepts with the k-th
     // power.
-    double single =
-        chain_accept(hx, rotation_attack(hx, hy, inner), swap_test, final_test);
+    double single = chain_rep(hx, hy, rotation_attack(hx, hy, inner));
     for (int cut = 0; cut <= inner; ++cut) {
-      single = std::max(single, chain_accept(hx, step_attack(hx, hy, inner, cut),
-                                             swap_test, final_test));
+      single = std::max(single,
+                        chain_rep(hx, hy, step_attack(hx, hy, inner, cut)));
     }
     best_single = std::max(best_single, single);
   }

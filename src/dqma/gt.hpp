@@ -62,6 +62,9 @@ class GtProtocol {
   double accept_probability(const Bitstring& x, const Bitstring& y,
                             const Strategy& strategy) const;
 
+  /// Acceptance of the honest strategy: one repetition evaluated and
+  /// folded k times, bit-identical to accept_probability(x, y,
+  /// honest_strategy(x, y)).
   double completeness(const Bitstring& x, const Bitstring& y) const;
 
   /// Strongest implemented attack: maximize over all admissible indices
@@ -86,6 +89,13 @@ class GtProtocol {
   /// Endpoint bit conditions at a non-sentinel index.
   bool x_bit_ok(const Bitstring& x, int i) const;
   bool y_bit_ok(const Bitstring& y, int i) const;
+  /// False when v_0 or v_r rejects index i deterministically.
+  bool index_admissible(const Bitstring& x, const Bitstring& y, int i) const;
+  /// The honest prover's index (throws unless the predicate holds).
+  int honest_index(const Bitstring& x, const Bitstring& y) const;
+  /// One repetition of the prefix EQ chain from `source` to `target`.
+  double chain_rep(const linalg::CVec& source, const linalg::CVec& target,
+                   const PathProof& rep) const;
 };
 
 }  // namespace dqma::protocol

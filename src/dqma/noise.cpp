@@ -73,40 +73,94 @@ NoiseModel NoiseModel::scaled(double factor) const {
 
 namespace {
 
-double noisy_chain(const EqPathProtocol& protocol, const Bitstring& x,
-                   const Bitstring& y, const PathProofReps& proof,
-                   const NoiseModel& noise) {
-  require(protocol.mode() == EqPathMode::kSymmetrized,
-          "noisy_chain: noise model implemented for the symmetrized protocol");
+/// The symmetrized EQ chain of `protocol` from input x, with the
+/// fingerprints of x and y prepared once. Statistics are collected
+/// noiselessly — SWAP-test acceptances and the final amplitude |<h|b>|
+/// (not its square, so the damped final test rounds exactly as
+/// (1-p)*amp*amp + p/d) — and every noise model re-weights them in the
+/// O(r) coin DP alone.
+class NoisyChain {
+ public:
+  NoisyChain(const EqPathProtocol& protocol, const Bitstring& x,
+             const Bitstring& y)
+      : inner_(std::max(0, protocol.r() - 1)),
+        d_(static_cast<double>(protocol.scheme().dim())),
+        hx_(protocol.scheme().state(x)),
+        hy_(protocol.scheme().state(y)) {
+    require(protocol.mode() == EqPathMode::kSymmetrized,
+            "noisy_chain: noise model implemented for the symmetrized "
+            "protocol");
+  }
+
+  /// One repetition on (x, y): v_r measures against |h_y>.
+  ChainStats collect(const PathProof& rep) const { return collect(rep, hy_); }
+
+  /// The honest repetition on (x, x): every register and v_r's
+  /// measurement |h_x>.
+  ChainStats honest() const {
+    return collect(uniform_proof(hx_, inner_), hx_);
+  }
+
+  /// The implemented product attacks on (x, y): rotation, then every step
+  /// cut.
+  std::vector<ChainStats> attacks() const {
+    std::vector<ChainStats> out;
+    out.push_back(collect(rotation_attack(hx_, hy_, inner_)));
+    for (int cut = 0; cut <= inner_; ++cut) {
+      out.push_back(collect(step_attack(hx_, hy_, inner_, cut)));
+    }
+    return out;
+  }
+
+  /// One repetition's acceptance: node v_j's pair test receives through
+  /// link j-1, v_r's measurement through link r-1.
+  double accept(const ChainStats& stats, const NoiseModel& noise) const {
+    const double depol_swap = 0.5 + 0.5 / d_;
+    return chain_dp(
+        stats,
+        [&](int link, double swap) {
+          return noise.damp(link, swap, depol_swap);
+        },
+        [&](int link, double amp) {
+          const double p = noise.rate(link);
+          return (1.0 - p) * amp * amp + p / d_;
+        });
+  }
+
+ private:
+  ChainStats collect(const PathProof& rep, const CVec& target) const {
+    return collect_chain(
+        hx_, rep,
+        [](const CVec& received, const CVec& kept) {
+          return qtest::swap_test_accept(received, kept);
+        },
+        [&target](const CVec& received) {
+          return std::abs(target.dot(received));
+        });
+  }
+
+  int inner_;
+  double d_;
+  CVec hx_;
+  CVec hy_;
+};
+
+void require_covers_path(const EqPathProtocol& protocol,
+                         const NoiseModel& noise) {
   if (!noise.is_uniform()) {
     require(noise.link_count() >= protocol.r(),
             "noisy_chain: per-link model must cover every path link");
   }
-  const auto& scheme = protocol.scheme();
-  const CVec hx = scheme.state(x);
-  const CVec hy = scheme.state(y);
-  const double d = static_cast<double>(scheme.dim());
-  const double depol_swap = 0.5 + 0.5 / d;
-  // Node v_j's pair test receives through link j-1; chain_accept_linked
-  // hands that link index straight to the tests.
-  const auto pair_test = [&](int link, const CVec& received,
-                             const CVec& kept) {
-    return noise.damp(link, qtest::swap_test_accept(received, kept),
-                      depol_swap);
-  };
-  const auto final_test = [&](int link, const CVec& received) {
-    const double p = noise.rate(link);
-    const double amp = std::abs(hy.dot(received));
-    return (1.0 - p) * amp * amp + p / d;
-  };
-  double accept = 1.0;
-  for (const auto& rep : proof) {
-    accept *= chain_accept_linked(hx, rep, pair_test, final_test);
-    if (accept == 0.0) {
-      break;
-    }
+}
+
+double best_attack(const NoisyChain& chain,
+                   const std::vector<ChainStats>& attacks,
+                   const NoiseModel& noise, int reps) {
+  double best_single = chain.accept(attacks.front(), noise);
+  for (std::size_t i = 1; i < attacks.size(); ++i) {
+    best_single = std::max(best_single, chain.accept(attacks[i], noise));
   }
-  return accept;
+  return std::pow(best_single, reps);
 }
 
 }  // namespace
@@ -117,39 +171,48 @@ double noisy_accept_probability(const EqPathProtocol& protocol,
                                 const NoiseModel& noise) {
   require(static_cast<int>(proof.size()) == protocol.reps(),
           "noisy_accept_probability: repetition count mismatch");
-  return noisy_chain(protocol, x, y, proof, noise);
+  const NoisyChain chain(protocol, x, y);
+  require_covers_path(protocol, noise);
+  double accept = 1.0;
+  for (const auto& rep : proof) {
+    accept *= chain.accept(chain.collect(rep), noise);
+    if (accept == 0.0) {
+      break;
+    }
+  }
+  return accept;
 }
 
 double noisy_completeness(const EqPathProtocol& protocol, const Bitstring& x,
                           const NoiseModel& noise) {
-  return noisy_accept_probability(protocol, x, x, protocol.honest_proof(x),
-                                  noise);
+  const NoisyChain chain(protocol, x, x);
+  require_covers_path(protocol, noise);
+  return fold_repetitions(chain.accept(chain.honest(), noise),
+                          protocol.reps());
 }
 
 double noisy_attack_accept(const EqPathProtocol& protocol, const Bitstring& x,
                            const Bitstring& y, const NoiseModel& noise) {
-  const CVec hx = protocol.scheme().state(x);
-  const CVec hy = protocol.scheme().state(y);
-  const int inner = std::max(0, protocol.r() - 1);
-  double best_single = 0.0;
-  const auto single = [&](const PathProof& attack) {
-    return noisy_chain(protocol, x, y, PathProofReps{attack}, noise);
-  };
-  best_single = single(rotation_attack(hx, hy, inner));
-  for (int cut = 0; cut <= inner; ++cut) {
-    best_single = std::max(best_single, single(step_attack(hx, hy, inner, cut)));
-  }
-  return std::pow(best_single, protocol.reps());
+  const NoisyChain chain(protocol, x, y);
+  require_covers_path(protocol, noise);
+  return best_attack(chain, chain.attacks(), noise, protocol.reps());
 }
 
 double noise_threshold(const EqPathProtocol& protocol, const Bitstring& x,
                        const Bitstring& y, double tol,
                        const NoiseModel& profile) {
   require(tol > 0.0, "noise_threshold: tolerance must be positive");
+  require_covers_path(protocol, profile);
+  // Noise only damps the clean statistics, so every chain is collected
+  // once; each bisection step re-runs the coin DPs alone.
+  const NoisyChain chain(protocol, x, y);
+  const ChainStats honest = chain.honest();
+  const std::vector<ChainStats> attacks = chain.attacks();
   const auto separated = [&](double scale) {
     const NoiseModel scaled = profile.scaled(scale);
-    return noisy_completeness(protocol, x, scaled) >= 2.0 / 3.0 &&
-           noisy_attack_accept(protocol, x, y, scaled) <= 1.0 / 3.0;
+    return fold_repetitions(chain.accept(honest, scaled), protocol.reps()) >=
+               2.0 / 3.0 &&
+           best_attack(chain, attacks, scaled, protocol.reps()) <= 1.0 / 3.0;
   };
   if (!separated(0.0)) {
     return 0.0;

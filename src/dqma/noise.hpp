@@ -108,6 +108,13 @@ double noisy_attack_accept(const EqPathProtocol& protocol, const Bitstring& x,
 /// attack acceptance <= 1/3 simultaneously; returns 0 if the protocol
 /// fails even noiselessly. With the default uniform unit profile the
 /// returned scale IS the largest tolerable uniform rate.
+///
+/// Cost: the fingerprints and the test statistics of the honest chain and
+/// of the r+1 attack chains are collected once (O(r^2) closed-form tests on
+/// d-dimensional states); each of the ~log2(1/tol) bisection steps then
+/// re-runs only the O(r) coin DP of every chain under the scaled profile and
+/// folds the honest value k times. The result is bit-identical to bisecting
+/// over noisy_completeness / noisy_attack_accept.
 double noise_threshold(const EqPathProtocol& protocol, const Bitstring& x,
                        const Bitstring& y, double tol = 1e-3,
                        const NoiseModel& profile = NoiseModel::uniform(1.0));

@@ -130,7 +130,16 @@ double RelayEqProtocol::accept_probability(const Bitstring& x,
 }
 
 double RelayEqProtocol::completeness(const Bitstring& x) const {
-  return accept_probability(x, x, honest_strategy(x));
+  // The honest relays all read x, so every segment runs its own folded
+  // honest completeness on (x, x).
+  double accept = 1.0;
+  for (const auto& seg : segments_) {
+    accept *= seg->completeness(x);
+    if (accept == 0.0) {
+      break;
+    }
+  }
+  return accept;
 }
 
 double RelayEqProtocol::best_attack_accept(const Bitstring& x,

@@ -60,6 +60,8 @@ class RelayEqProtocol {
   double accept_probability(const Bitstring& x, const Bitstring& y,
                             const Strategy& strategy) const;
 
+  /// Acceptance of the honest strategy, bit-identical to
+  /// accept_probability(x, x, honest_strategy(x)) without building it.
   double completeness(const Bitstring& x) const;
 
   /// Strongest implemented attack: relay strings interpolate from x to y in

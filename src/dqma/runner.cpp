@@ -8,80 +8,53 @@ namespace dqma::protocol {
 
 using util::require;
 
-namespace {
-
-// Shared DP core of chain_accept / chain_accept_linked: tests receive the
-// index of the link the tested register traversed. The two public entry
-// points must stay on this one code path so link-oblivious and link-aware
-// evaluations are bit-identical.
-template <typename PairTest, typename FinalTest>
-double chain_accept_impl(const CVec& source, const PathProof& proof,
-                         const PairTest& pair_test,
-                         const FinalTest& final_test) {
+ChainStats collect_chain(
+    const CVec& source, const PathProof& proof,
+    const std::function<double(const CVec&, const CVec&)>& pair_stat,
+    const std::function<double(const CVec&)>& final_stat) {
   const int inner = proof.intermediate_nodes();
   require(static_cast<int>(proof.reg1.size()) == inner,
-          "chain_accept: reg0/reg1 size mismatch");
+          "collect_chain: reg0/reg1 size mismatch");
+  ChainStats stats;
+  stats.inner = inner;
   if (inner == 0) {
-    return final_test(0, source);
+    stats.final_stat[0] = final_stat(source);
+    return stats;
   }
-
-  // f[c] = expected product of test acceptances over nodes 1..j, given that
-  // node j's coin is c (coin 0: keep reg0 / send reg1; coin 1: swapped),
-  // including the 1/2 weight of each coin.
-  //
-  // kept_j(c)  = c == 0 ? reg0[j] : reg1[j]
-  // sent_j(c)  = c == 0 ? reg1[j] : reg0[j]
-  double f0 = 0.5 * pair_test(0, source, proof.reg0[0]);
-  double f1 = 0.5 * pair_test(0, source, proof.reg1[0]);
+  // kept_j(c) = c == 0 ? reg0[j] : reg1[j]
+  // sent_j(c) = c == 0 ? reg1[j] : reg0[j]
+  stats.pair.reserve(static_cast<std::size_t>(4 * inner - 2));
+  stats.pair.push_back(pair_stat(source, proof.reg0[0]));
+  stats.pair.push_back(pair_stat(source, proof.reg1[0]));
   for (int j = 1; j < inner; ++j) {
     const CVec& sent_prev_c0 = proof.reg1[static_cast<std::size_t>(j - 1)];
     const CVec& sent_prev_c1 = proof.reg0[static_cast<std::size_t>(j - 1)];
     const CVec& kept_c0 = proof.reg0[static_cast<std::size_t>(j)];
     const CVec& kept_c1 = proof.reg1[static_cast<std::size_t>(j)];
-    const double t00 = pair_test(j, sent_prev_c0, kept_c0);
-    const double t10 = pair_test(j, sent_prev_c1, kept_c0);
-    const double t01 = pair_test(j, sent_prev_c0, kept_c1);
-    const double t11 = pair_test(j, sent_prev_c1, kept_c1);
-    const double n0 = 0.5 * (f0 * t00 + f1 * t10);
-    const double n1 = 0.5 * (f0 * t01 + f1 * t11);
-    f0 = n0;
-    f1 = n1;
+    stats.pair.push_back(pair_stat(sent_prev_c0, kept_c0));
+    stats.pair.push_back(pair_stat(sent_prev_c1, kept_c0));
+    stats.pair.push_back(pair_stat(sent_prev_c0, kept_c1));
+    stats.pair.push_back(pair_stat(sent_prev_c1, kept_c1));
   }
-  const int last = inner - 1;
-  return f0 * final_test(inner, proof.reg1[static_cast<std::size_t>(last)]) +
-         f1 * final_test(inner, proof.reg0[static_cast<std::size_t>(last)]);
+  const auto last = static_cast<std::size_t>(inner - 1);
+  stats.final_stat[0] = final_stat(proof.reg1[last]);
+  stats.final_stat[1] = final_stat(proof.reg0[last]);
+  return stats;
 }
-
-}  // namespace
 
 double chain_accept(
     const CVec& source, const PathProof& proof,
     const std::function<double(const CVec&, const CVec&)>& pair_test,
     const std::function<double(const CVec&)>& final_test) {
-  return chain_accept_impl(
-      source, proof,
-      [&pair_test](int, const CVec& received, const CVec& kept) {
-        return pair_test(received, kept);
-      },
-      [&final_test](int, const CVec& received) { return final_test(received); });
+  const auto as_is = [](int, double stat) { return stat; };
+  return chain_dp(collect_chain(source, proof, pair_test, final_test), as_is,
+                  as_is);
 }
 
-double chain_accept_linked(
-    const CVec& source, const PathProof& proof,
-    const std::function<double(int, const CVec&, const CVec&)>& pair_test,
-    const std::function<double(int, const CVec&)>& final_test) {
-  return chain_accept_impl(source, proof, pair_test, final_test);
-}
-
-double chain_accept_reps(
-    const std::vector<CVec>& sources, const PathProofReps& proofs,
-    const std::function<double(const CVec&, const CVec&)>& pair_test,
-    const std::function<double(const CVec&)>& final_test) {
-  require(sources.size() == proofs.size(),
-          "chain_accept_reps: sources/proofs size mismatch");
+double fold_repetitions(double per_rep, int reps) {
   double accept = 1.0;
-  for (std::size_t k = 0; k < proofs.size(); ++k) {
-    accept *= chain_accept(sources[k], proofs[k], pair_test, final_test);
+  for (int k = 0; k < reps; ++k) {
+    accept *= per_rep;
     if (accept == 0.0) {
       break;
     }

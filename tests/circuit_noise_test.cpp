@@ -27,10 +27,10 @@ using dqma::protocol::noisy_attack_accept;
 using dqma::protocol::noisy_completeness;
 using dqma::protocol::PathProof;
 using dqma::protocol::rotation_attack;
+using dqma::protocol::uniform_proof;
 using dqma::test::chain_swap_overlap_accept;
 using dqma::test::haar_states;
 using dqma::test::random_unequal_pair;
-using dqma::test::uniform_proof;
 using dqma::util::Bitstring;
 using dqma::util::Rng;
 

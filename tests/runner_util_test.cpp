@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "dqma/attacks.hpp"
 #include "dqma/model.hpp"
 #include "dqma/runner.hpp"
 #include "quantum/random.hpp"
@@ -17,14 +18,14 @@ namespace {
 
 using dqma::linalg::CVec;
 using dqma::protocol::chain_accept;
-using dqma::protocol::chain_accept_reps;
 using dqma::protocol::estimate;
+using dqma::protocol::fold_repetitions;
 using dqma::protocol::PathProof;
+using dqma::protocol::uniform_proof;
 using dqma::test::chain_swap_overlap_accept;
 using dqma::test::haar_states;
 using dqma::test::overlap_final_test;
 using dqma::test::swap_pair_test;
-using dqma::test::uniform_proof;
 using dqma::util::Rng;
 using dqma::util::Table;
 
@@ -76,7 +77,9 @@ TEST(ChainAcceptTest, SymmetrizationAveragesTheTwoRegisters) {
   EXPECT_NEAR(chain_swap_overlap_accept(src, target, proof), expected, 1e-12);
 }
 
-TEST(ChainAcceptTest, RepetitionsMultiply) {
+TEST(FoldRepetitionsTest, EqualsTheKCopyProductBitForBit) {
+  // k identical repetitions multiply left to right; the fold must return
+  // exactly that product (std::pow may differ in the last ulp).
   Rng rng(5);
   const CVec src = dqma::quantum::haar_state(3, rng);
   const CVec target = dqma::quantum::haar_state(3, rng);
@@ -84,10 +87,23 @@ TEST(ChainAcceptTest, RepetitionsMultiply) {
   proof.reg0.push_back(dqma::quantum::haar_state(3, rng));
   proof.reg1.push_back(dqma::quantum::haar_state(3, rng));
   const double one = chain_swap_overlap_accept(src, target, proof);
-  const double three =
-      chain_accept_reps({src, src, src}, {proof, proof, proof},
-                        swap_pair_test(), overlap_final_test(target));
-  EXPECT_NEAR(three, one * one * one, 1e-12);
+  for (const int reps : {1, 2, 3, 17, 2592}) {
+    double product = 1.0;
+    for (int k = 0; k < reps; ++k) {
+      product *= one;
+    }
+    EXPECT_EQ(fold_repetitions(one, reps), product) << "reps = " << reps;
+  }
+  EXPECT_EQ(fold_repetitions(one, 0), 1.0);
+  EXPECT_EQ(fold_repetitions(0.5, 3), 0.125);
+}
+
+TEST(FoldRepetitionsTest, StopsAtAnExactZero) {
+  // 1e-200 squared underflows to 0; every later factor keeps it 0.
+  EXPECT_EQ(fold_repetitions(1e-200, 2), 0.0);
+  EXPECT_EQ(fold_repetitions(1e-200, 1000000), 0.0);
+  EXPECT_EQ(fold_repetitions(0.0, 5), 0.0);
+  EXPECT_EQ(fold_repetitions(1.0, 1000000), 1.0);
 }
 
 TEST(EstimateTest, MeanAndConfidenceInterval) {

@@ -162,13 +162,6 @@ double chain_swap_overlap_accept(const CVec& source, const CVec& target,
                                 overlap_final_test(target));
 }
 
-protocol::PathProof uniform_proof(const CVec& psi, int intermediates) {
-  protocol::PathProof proof;
-  proof.reg0.assign(static_cast<std::size_t>(intermediates), psi);
-  proof.reg1 = proof.reg0;
-  return proof;
-}
-
 double exact_worst_case_accept(const CVec& hx, const CVec& hy, int r) {
   const protocol::ExactEqPathAnalyzer analyzer(hx, hy, r);
   return analyzer.worst_case_accept();

@@ -147,10 +147,6 @@ std::function<double(const CVec&)> overlap_final_test(CVec target);
 double chain_swap_overlap_accept(const CVec& source, const CVec& target,
                                  const protocol::PathProof& proof);
 
-/// A product proof whose every register (both R_{j,0} and R_{j,1} of each
-/// of the `intermediates` nodes) is `psi` — the honest-proof shape.
-protocol::PathProof uniform_proof(const CVec& psi, int intermediates);
-
 // ---------------------------------------------------------------------------
 // Protocol-run harness: exact acceptance-operator engine
 // ---------------------------------------------------------------------------
