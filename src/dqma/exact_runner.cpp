@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/eigen.hpp"
-#include "quantum/local_ops.hpp"
 #include "quantum/random.hpp"
 #include "quantum/unitary.hpp"
 #include "sweep/parallel.hpp"
@@ -16,95 +14,91 @@ namespace dqma::protocol {
 using linalg::Complex;
 using quantum::LocalOpPlan;
 using quantum::RegisterShape;
-using quantum::SparseRows;
 using util::require;
 
 namespace {
 
-/// <w| effect |w> for the product state w = tensor of the listed registers'
-/// states: the per-group factor of a product proof's acceptance. O(b + nnz)
-/// for block dimension b, walking the effect's nonzero rows.
-double local_expectation(const SparseRows& effect,
-                         const std::vector<int>& group,
-                         const std::vector<CVec>& states) {
-  CVec w = states[static_cast<std::size_t>(group.front())];
-  for (std::size_t k = 1; k < group.size(); ++k) {
-    w = w.tensor(states[static_cast<std::size_t>(group[k])]);
-  }
-  Complex acc{0.0, 0.0};
-  for (int i = 0; i < static_cast<int>(effect.rows()); ++i) {
-    const Complex ci = std::conj(w[i]);
-    Complex row{0.0, 0.0};
-    for (std::size_t k = effect.start[static_cast<std::size_t>(i)];
-         k < effect.start[static_cast<std::size_t>(i) + 1]; ++k) {
-      row += effect.val[k] * w[effect.col[k]];
-    }
-    acc += ci * row;
-  }
-  return acc.real();
+constexpr long long kTile = 64;  // rank-one pass: amplitudes per stack tile
+
+/// body(base, len) over the plan's free offsets in runs of at most `run`
+/// consecutive amplitudes (the registers below the targets), in disjoint
+/// chunks on the kernel pool (~8 flops per target amplitude). No amplitude's
+/// arithmetic depends on the split: the output is thread-count invariant.
+template <typename Fn>
+void for_each_run(const LocalOpPlan& plan, std::size_t run, const Fn& body) {
+  const std::vector<long long>& foff = plan.free_offsets();
+  sweep::parallel_for(
+      foff.size(),
+      sweep::grain_for_ops(8 * static_cast<std::size_t>(plan.block())),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t f = begin; f < end;) {
+          const std::size_t stop = std::min(end, (f / run + 1) * run);
+          body(foff[f], static_cast<long long>(stop - f));
+          f = stop;
+        }
+      });
 }
 
-/// Partial contraction of a two-register effect, leaving the register at
-/// `pos` (0 or 1) free: the d x d conditional block M with
-///   pos == 0:  M(i, j) = sum_{a,b} conj(v[a]) E(i*d+a, j*d+b) v[b]
-///   pos == 1:  M(a, b) = sum_{i,j} conj(u[i]) E(i*d+a, j*d+b) u[j]
-/// contracted in an O(nnz) stage over the effect's nonzero rows (columns
-/// ascending, so every sum keeps its ascending order) and an O(d^3) stage.
-CMat pair_conditional(const SparseRows& effect, int pos, const CVec& other,
-                      int d) {
-  CMat m(d, d);
-  if (pos == 0) {
-    // Stage 1 over b: C(i*d+a, j) = sum_b E(i*d+a, j*d+b) other[b].
-    CMat c(d * d, d);
-    for (int row = 0; row < d * d; ++row) {
-      for (std::size_t k = effect.start[static_cast<std::size_t>(row)];
-           k < effect.start[static_cast<std::size_t>(row) + 1]; ++k) {
-        const int col = effect.col[k];
-        c(row, col / d) += effect.val[k] * other[col % d];
-      }
-    }
-    // Stage 2 over a: M(i, j) = sum_a conj(other[a]) C(i*d+a, j).
-    for (int i = 0; i < d; ++i) {
-      for (int j = 0; j < d; ++j) {
-        Complex acc{0.0, 0.0};
-        for (int a = 0; a < d; ++a) {
-          acc += std::conj(other[a]) * c(i * d + a, j);
+/// dst <- (keep I + w |h><h|) src along the plan's one register, or dst +=
+/// that with `accumulate`; src may alias dst. keep = w = 1/2 is the first
+/// test (I + |h_x><h_x|)/2; keep = 0 accumulates the final measurement
+/// w |h_y><h_y|. Per tile of a run: contract h^dagger src, then write back.
+void rank_one_pass(const LocalOpPlan& plan, const CVec& h, double keep,
+                   double w, const Complex* src, Complex* dst,
+                   bool accumulate) {
+  const std::vector<long long>& toff = plan.target_offsets();
+  const int d = h.dim();
+  for_each_run(plan, toff[1], [&](long long base, long long len) {
+    for (long long t0 = 0; t0 < len; t0 += kTile) {
+      const long long n = std::min(kTile, len - t0);
+      Complex c[kTile];
+      std::fill(c, c + n, Complex{0.0, 0.0});
+      for (int a = 0; a < d; ++a) {
+        const Complex ha = std::conj(h[a]);
+        const Complex* s = src + base + t0 + toff[static_cast<std::size_t>(a)];
+        for (long long t = 0; t < n; ++t) {
+          c[t] += ha * s[t];
         }
-        m(i, j) = acc;
+      }
+      for (int a = 0; a < d; ++a) {
+        const Complex ha = h[a] * w;
+        const long long off = base + t0 + toff[static_cast<std::size_t>(a)];
+        for (long long t = off; t < off + n; ++t) {
+          const Complex v = keep * src[t] + ha * c[t - off];
+          dst[t] = accumulate ? dst[t] + v : v;
+        }
       }
     }
-    return m;
-  }
-  // pos == 1: stage 1 over i: T(a, j*d+b) = sum_i conj(other[i]) E(i*d+a, .).
-  CMat t(d, d * d);
-  for (int a = 0; a < d; ++a) {
-    for (int i = 0; i < d; ++i) {
-      const Complex ci = std::conj(other[i]);
-      const std::size_t row = static_cast<std::size_t>(i * d + a);
-      for (std::size_t k = effect.start[row]; k < effect.start[row + 1]; ++k) {
-        t(a, effect.col[k]) += ci * effect.val[k];
-      }
-    }
-  }
-  // Stage 2 over j: M(a, b) = sum_j T(a, j*d+b) other[j].
-  for (int a = 0; a < d; ++a) {
-    for (int b = 0; b < d; ++b) {
-      Complex acc{0.0, 0.0};
-      for (int j = 0; j < d; ++j) {
-        acc += t(a, j * d + b) * other[j];
-      }
-      m(a, b) = acc;
-    }
-  }
-  return m;
+  });
+}
+
+/// psi <- ((I + SWAP)/2) psi on the plan's register pair: psi[..i..j..] and
+/// psi[..j..i..] both become their average. One O(D) sweep.
+void swap_pass(const LocalOpPlan& plan, int d, Complex* psi) {
+  const std::vector<long long>& toff = plan.target_offsets();
+  const auto at = [&](int i, int j) {
+    return toff[static_cast<std::size_t>(i * d + j)];
+  };
+  for_each_run(plan, std::min(at(0, 1), at(1, 0)),
+               [&](long long base, long long len) {
+                 for (int i = 0; i < d; ++i) {
+                   for (int j = i + 1; j < d; ++j) {
+                     Complex* x = psi + base + at(i, j);
+                     Complex* y = psi + base + at(j, i);
+                     for (long long t = 0; t < len; ++t) {
+                       x[t] = y[t] = 0.5 * (x[t] + y[t]);
+                     }
+                   }
+                 }
+               });
 }
 
 }  // namespace
 
 ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
-    : r_(r), d_(hx.dim()) {
+    : r_(r), d_(hx.dim()), hx_(std::move(hx)), hy_(std::move(hy)) {
   require(r >= 1, "ExactEqPathAnalyzer: path length must be >= 1");
-  require(hx.dim() == hy.dim(), "ExactEqPathAnalyzer: state dim mismatch");
+  require(hx_.dim() == hy_.dim(), "ExactEqPathAnalyzer: state dim mismatch");
   require(d_ >= 2, "ExactEqPathAnalyzer: need dimension >= 2");
 
   const int regs = 2 * std::max(0, r_ - 1);
@@ -120,7 +114,7 @@ ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
   if (r_ == 1) {
     // No intermediate nodes: v_0 sends |h_x>, v_1 measures {|h_y><h_y|}.
     op_ = CMat(1, 1);
-    const double amp = std::abs(hy.dot(hx));
+    const double amp = std::abs(hy_.dot(hx_));
     op_(0, 0) = Complex{amp * amp, 0.0};
     dense_ = true;
     return;
@@ -133,23 +127,11 @@ ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
   // First test at v_1 with the fixed |h_x> slot contracted:
   // <h_x| (I + SWAP)/2 |h_x> = (I + |h_x><h_x|)/2 acting on kept_1.
   first_ = CMat::identity(d_);
-  first_ += CMat::projector(hx);
+  first_ += CMat::projector(hx_);
   first_ *= Complex{0.5, 0.0};
-  // Middle swap-test effect on a register pair — only materialized when a
-  // pattern can actually contain one (inner_ >= 2): r == 2 paths have a
-  // single inner node and skipping the d^2 x d^2 build lets wide-d shallow
-  // instances through without the quadratic blowup.
-  if (inner_ >= 2) {
-    swap_effect_ = quantum::swap_unitary(d_);
-    swap_effect_ += CMat::identity(d_ * d_);
-    swap_effect_ *= Complex{0.5, 0.0};
-  }
   // Final measurement on sent_{r-1}.
-  final_ = CMat::projector(hy);
+  final_ = CMat::projector(hy_);
 
-  for (const CMat* effect : {&first_, &swap_effect_, &final_}) {
-    effect_rows_.emplace_back(*effect);
-  }
   build_pattern_effects();
   dense_ = (mode == Mode::kDense) ||
            (mode == Mode::kAuto && proof_dim_ <= kMaxDenseProofDim);
@@ -159,24 +141,21 @@ ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
     // materialized operator on mid-size instances keep an escape hatch.
     require(proof_dim_ <= util::kMaxDenseExactDim,
             "ExactEqPathAnalyzer: proof space too large for the dense mode");
+    // The d^2 x d^2 swap-test effect is only needed to materialize O, and
+    // only when a pattern contains one (inner_ >= 2).
+    if (inner_ >= 2) {
+      swap_effect_ = quantum::swap_unitary(d_);
+      swap_effect_ += CMat::identity(d_ * d_);
+      swap_effect_ *= Complex{0.5, 0.0};
+    }
     build_operator();
   }
 }
 
-const quantum::SparseRows& ExactEqPathAnalyzer::effect_rows(
-    EffectKind kind) const {
-  return effect_rows_[static_cast<std::size_t>(kind)];
-}
-
 const CMat& ExactEqPathAnalyzer::effect_matrix(EffectKind kind) const {
-  switch (kind) {
-    case EffectKind::kFirst:
-      return first_;
-    case EffectKind::kSwap:
-      return swap_effect_;
-    default:
-      return final_;
-  }
+  return kind == EffectKind::kFirst   ? first_
+         : kind == EffectKind::kSwap ? swap_effect_
+                                     : final_;
 }
 
 void ExactEqPathAnalyzer::build_pattern_effects() {
@@ -249,22 +228,24 @@ CVec ExactEqPathAnalyzer::apply_acceptance(const CVec& psi) const {
   if (dense_) {
     return op_ * psi;
   }
-  // The pattern loop stays serial (reducing D-dimensional partial vectors
-  // across pattern chunks measured strictly slower: each chunk would own a
-  // proof-space-sized accumulator). The parallel region is the threaded
-  // apply_local inside — D / b free-offset blocks per effect give every
-  // kernel thread work at any realistic thread count, with no extra
-  // allocation and the exact pre-threading summation order.
+  // The pattern loop stays serial (per-chunk D-dimensional partial sums
+  // measured slower); each effect is one parallel O(D) pass by its closed
+  // form. The first test reads psi into the scratch, the swap tests work in
+  // place, and the final measurement accumulates into out, pre-scaled by
+  // 1/patterns (a power of two, so the scaling is exact).
   CVec out(static_cast<int>(proof_dim_));
-  for (int pattern = 0; pattern < patterns_; ++pattern) {
-    CVec tmp = psi;
-    for (const PatternEffect& pe :
-         pattern_effects_[static_cast<std::size_t>(pattern)]) {
-      quantum::apply_local(plans_[pe.plan], effect_matrix(pe.kind), tmp);
+  CVec tmp(static_cast<int>(proof_dim_));
+  const Complex* in = linalg::ConstComplexView(psi).aos_data();
+  Complex* p = linalg::MutComplexView(tmp).aos_data();
+  Complex* acc = linalg::MutComplexView(out).aos_data();
+  for (const std::vector<PatternEffect>& effects : pattern_effects_) {
+    rank_one_pass(plans_[effects.front().plan], hx_, 0.5, 0.5, in, p, false);
+    for (std::size_t e = 1; e + 1 < effects.size(); ++e) {
+      swap_pass(plans_[effects[e].plan], d_, p);
     }
-    out += tmp;
+    rank_one_pass(plans_[effects.back().plan], hy_, 0.0, 1.0 / patterns_, p,
+                  acc, true);
   }
-  out *= Complex{1.0 / static_cast<double>(patterns_), 0.0};
   return out;
 }
 
@@ -289,6 +270,21 @@ double ExactEqPathAnalyzer::worst_case_accept(
   return std::min(1.0, linalg::top_eigenvalue_psd(op, opts, nullptr, stats));
 }
 
+double ExactEqPathAnalyzer::local_expectation(
+    const PatternEffect& pe, const std::vector<CVec>& regs) const {
+  const CVec& w = regs[static_cast<std::size_t>(pe.regs.front())];
+  switch (pe.kind) {
+    case EffectKind::kFirst:
+      return 0.5 * (w.norm_sq() + std::norm(hx_.dot(w)));
+    case EffectKind::kFinal:
+      return std::norm(hy_.dot(w));
+    default: {
+      const CVec& v = regs[static_cast<std::size_t>(pe.regs.back())];
+      return 0.5 * (w.norm_sq() * v.norm_sq() + std::norm(w.dot(v)));
+    }
+  }
+}
+
 double ExactEqPathAnalyzer::product_accept(const std::vector<CVec>& regs) const {
   require(static_cast<int>(regs.size()) == shape_.register_count(),
           "ExactEqPathAnalyzer: register count mismatch");
@@ -299,14 +295,13 @@ double ExactEqPathAnalyzer::product_accept(const std::vector<CVec>& regs) const 
     require(v.dim() == d_, "ExactEqPathAnalyzer: register dimension mismatch");
   }
   // For a product proof each pattern term factorizes over its disjoint
-  // effect groups, so the acceptance is a sum of products of local
-  // expectations, each O(nnz) of its effect — no D-dimensional object is
-  // touched.
+  // effect groups, so the acceptance is a sum of products of closed-form
+  // local expectations, O(d) each — no D-dimensional object is touched.
   double total = 0.0;
-  for (int pattern = 0; pattern < patterns_; ++pattern) {
+  for (const std::vector<PatternEffect>& effects : pattern_effects_) {
     double term = 1.0;
-    for (const PatternEffect& pe : pattern_effects_[static_cast<std::size_t>(pattern)]) {
-      term *= local_expectation(effect_rows(pe.kind), pe.regs, regs);
+    for (const PatternEffect& pe : effects) {
+      term *= local_expectation(pe, regs);
     }
     total += term;
   }
@@ -315,34 +310,35 @@ double ExactEqPathAnalyzer::product_accept(const std::vector<CVec>& regs) const 
 
 CMat ExactEqPathAnalyzer::conditional_operator(
     int k, const std::vector<CVec>& regs) const {
-  // M_k(i, j) = <psi_-k, e_i| O |psi_-k, e_j>: per pattern, the group
-  // containing register k contributes a partially contracted d x d block
-  // and every other group a scalar factor (every proof register sits in
-  // exactly one effect group of every pattern).
+  // Per pattern, the group holding register k gives its d x d conditional
+  // block and every other group a scalar factor. The rank-one tests' blocks
+  // are the effects; the swap test's, with partner state v, is
+  // (||v||^2 I + |v><v|)/2.
+  require(static_cast<int>(regs.size()) == shape_.register_count(),
+          "ExactEqPathAnalyzer: register count mismatch");
   CMat cond(d_, d_);
-  for (int pattern = 0; pattern < patterns_; ++pattern) {
+  for (const std::vector<PatternEffect>& effects : pattern_effects_) {
     double scale = 1.0;
-    bool found = false;
-    CMat part;
-    for (const PatternEffect& pe :
-         pattern_effects_[static_cast<std::size_t>(pattern)]) {
-      const auto it = std::find(pe.regs.begin(), pe.regs.end(), k);
-      if (it == pe.regs.end()) {
-        scale *= local_expectation(effect_rows(pe.kind), pe.regs, regs);
-        continue;
-      }
-      found = true;
-      if (pe.regs.size() == 1) {
-        part = effect_matrix(pe.kind);
+    const PatternEffect* own = nullptr;
+    for (const PatternEffect& pe : effects) {
+      if (std::find(pe.regs.begin(), pe.regs.end(), k) == pe.regs.end()) {
+        scale *= local_expectation(pe, regs);
       } else {
-        const int pos = static_cast<int>(it - pe.regs.begin());
-        const CVec& other =
-            regs[static_cast<std::size_t>(pe.regs[pos == 0 ? 1 : 0])];
-        part = pair_conditional(effect_rows(pe.kind), pos, other, d_);
+        own = &pe;
       }
     }
-    util::ensure(found, "ExactEqPathAnalyzer: register not covered by any "
-                        "effect group");
+    util::ensure(own != nullptr, "ExactEqPathAnalyzer: register not covered "
+                                 "by any effect group");
+    CMat part;
+    if (own->kind == EffectKind::kSwap) {
+      const CVec& v = regs[static_cast<std::size_t>(
+          own->regs.front() == k ? own->regs.back() : own->regs.front())];
+      part = CMat::identity(d_) * Complex{v.norm_sq(), 0.0};
+      part += CMat::projector(v);
+      part *= Complex{0.5, 0.0};
+    } else {
+      part = effect_matrix(own->kind);
+    }
     part *= Complex{scale, 0.0};
     cond += part;
   }
@@ -356,6 +352,8 @@ double ExactEqPathAnalyzer::best_product_accept(util::Rng& rng, int restarts,
     return op_(0, 0).real();
   }
   const int nregs = shape_.register_count();
+  const linalg::SpectralOptions top{
+      .method = linalg::SpectralOptions::Method::kLanczos, .tol = 1e-13};
   double best = 0.0;
   for (int restart = 0; restart < restarts; ++restart) {
     std::vector<CVec> regs;
@@ -367,12 +365,8 @@ double ExactEqPathAnalyzer::best_product_accept(util::Rng& rng, int restarts,
     for (int sweep = 0; sweep < sweeps; ++sweep) {
       for (int k = 0; k < nregs; ++k) {
         const CMat conditional = conditional_operator(k, regs);
-        const auto es = linalg::eigh(conditional);
-        CVec top(d_);
-        for (int i = 0; i < d_; ++i) {
-          top[i] = es.vectors(i, d_ - 1);
-        }
-        regs[static_cast<std::size_t>(k)] = std::move(top);
+        linalg::top_eigenvalue_psd(linalg::DenseOperator(conditional), top,
+                                   &regs[static_cast<std::size_t>(k)]);
       }
       const double next = product_accept(regs);
       if (next <= value + 1e-12) {

@@ -23,12 +23,13 @@
 //     applying the local effects to an identity matrix (O(D^2 b) per
 //     pattern instead of the former O(D^3) embedded products), so spectral
 //     routines and QMA* reductions can consume the dense matrix;
-//   * kMatrixFree (large proof spaces): O is never materialized; its action
-//     on a vector costs O(patterns * r * D * nnz / b) (the (I + SWAP)/2
-//     effect has 2d^2 - d nonzeros out of d^4, so it walks its nonzero rows),
-//     worst_case_accept runs the spectral dispatcher (Lanczos) on that
-//     action, and the product-prover optimizer contracts the local effects'
-//     nonzeros register by register in O(nnz) per term.
+//   * kMatrixFree (large proof spaces): O is never materialized; each
+//     effect acts by its closed form in one O(D) pass (psi <- psi/2 +
+//     h_x (h_x^dagger psi)/2, psi <- h_y (h_y^dagger psi), and (I + SWAP)/2
+//     as the average of psi[..i..j..] and psi[..j..i..]), so a matvec costs
+//     O(patterns * r * D). worst_case_accept runs Lanczos on that action;
+//     the product-prover optimizer uses closed-form expectations (O(d)) and
+//     conditional blocks (O(d^2)), and takes top eigenvectors by Lanczos.
 // kAuto picks kDense up to kMaxDenseProofDim and kMatrixFree beyond.
 //
 // Dimensions: the proof space has dimension d^{2(r-1)} for fingerprint
@@ -105,9 +106,16 @@ class ExactEqPathAnalyzer {
   /// order R_{1,0}, R_{1,1}, ..., R_{r-1,0}, R_{r-1,1}).
   double product_accept(const std::vector<CVec>& regs) const;
 
+  /// Register k's d x d conditional operator given the other registers'
+  /// states (regs as for product_accept; regs[k] is not read):
+  /// M_k(i, j) = <psi_-k, e_i| O |psi_-k, e_j>.
+  CMat conditional_operator(int k, const std::vector<CVec>& regs) const;
+
  private:
   int r_;
   int d_;
+  CVec hx_;
+  CVec hy_;
   int inner_ = 0;
   int patterns_ = 1;
   quantum::RegisterShape shape_;  // 2(r-1) registers of dimension d
@@ -115,12 +123,9 @@ class ExactEqPathAnalyzer {
   bool dense_ = true;
   // Local effects of Algorithm 3 (shared across patterns).
   CMat first_;        // (I + |h_x><h_x|)/2 on kept_1
-  CMat swap_effect_;  // (I + SWAP)/2 on (sent_{j-1}, kept_j)
+  CMat swap_effect_;  // (I + SWAP)/2 on (sent_{j-1}, kept_j); dense mode only
   CMat final_;        // |h_y><h_y| on sent_{r-1}
   CMat op_;           // dense modes (and the r == 1 scalar)
-  // Nonzero rows of the three effects, indexed by EffectKind: built once,
-  // walked by the product optimizer.
-  std::vector<quantum::SparseRows> effect_rows_;
 
   /// Which of the three local effects a pattern entry applies; resolved to
   /// the member matrix at use time so cached entries survive copies.
@@ -141,10 +146,11 @@ class ExactEqPathAnalyzer {
   std::vector<quantum::LocalOpPlan> plans_;
 
   const CMat& effect_matrix(EffectKind kind) const;
-  const quantum::SparseRows& effect_rows(EffectKind kind) const;
+  /// Closed-form <w| effect |w> for the group's product state.
+  double local_expectation(const PatternEffect& pe,
+                           const std::vector<CVec>& regs) const;
   void build_pattern_effects();
   void build_operator();
-  CMat conditional_operator(int k, const std::vector<CVec>& regs) const;
 };
 
 }  // namespace dqma::protocol

@@ -358,14 +358,26 @@ TEST(ThreadedKernelDeterminismTest, AnalyzerAssemblyAndMatrixFreeMatvec) {
                                  ExactEqPathAnalyzer::Mode::kMatrixFree);
     return mf.worst_case_accept(/*max_iters=*/32);
   });
+  // The D = 729 passes above fit one chunk; at d = 8, r = 3 (D = 4096)
+  // every closed-form pass splits across kernel threads.
+  const CVec wide_hx = dqma::quantum::haar_state(8, rng);
+  const CVec wide_hy = dqma::quantum::haar_state(8, rng);
+  const ExactEqPathAnalyzer wide(wide_hx, wide_hy, 3,
+                                 ExactEqPathAnalyzer::Mode::kMatrixFree);
+  const CVec wide_probe = dqma::quantum::haar_state(4096, rng);
+  expect_threads_invariant_vec(
+      [&] { return wide.apply_acceptance(wide_probe); });
 }
 
 // ---------------------------------------------------------------------------
-// Byte pins of the matrix-free exact analyzer. Its (I + SWAP)/2 effect is
-// too sparse for the dense split path, so the matvec and the product
-// optimizer walk its nonzeros; these recorded bit patterns prove that walk
-// reproduces the full zero-skip scans bit for bit. Inputs avoid libm
-// (uniform draws and sqrt only) except the optimizer's Haar restarts.
+// Byte pins of the matrix-free exact analyzer. The matvec applies each local
+// effect by its closed form (rank-one tests, SWAP as a pairwise average) and
+// the product optimizer uses closed-form expectations and conditionals. At
+// d = 5 no level-specific kernel is on these paths (the optimizer's d x d
+// DenseOperator packs for SIMD only from 8 columns), so one recorded bit
+// pattern per output must hold at every dispatch level and kernel thread
+// count. Inputs avoid libm (uniform draws and sqrt only) except the
+// optimizer's Haar restarts.
 // ---------------------------------------------------------------------------
 
 std::uint64_t double_bits(double x) {
@@ -403,20 +415,9 @@ CVec uniform_state(int dim, Rng& rng) {
 TEST(ExactAnalyzerBytePinTest, MatrixFreeOutputsMatchRecordedBits) {
   using dqma::protocol::ExactEqPathAnalyzer;
   namespace simd = dqma::linalg::simd;
-  struct Pin {
-    simd::Level level;
-    std::uint64_t apply_hash;
-    std::uint64_t product_accept;
-    std::uint64_t best_product_accept;
-  };
-  const Pin pins[] = {
-      {simd::Level::kScalar, 0x6a18d4a2904eec6cULL, 0x3f75bd821d4185b6ULL,
-       0x3fe96fa39238bed1ULL},
-      {simd::Level::kAvx2, 0x364678bc26de0690ULL, 0x3f75bd821d4185b6ULL,
-       0x3fe96fa39238bed1ULL},
-      {simd::Level::kAvx512, 0x364678bc26de0690ULL, 0x3f75bd821d4185b6ULL,
-       0x3fe96fa39238bed1ULL},
-  };
+  const std::uint64_t apply_hash = 0x4288107d82c0e268ULL;
+  const std::uint64_t product_accept = 0x3f75bd821d4185bdULL;
+  const std::uint64_t best_product_accept = 0x3fe96fa39238becaULL;
   Rng rng(0x5eed);
   const CVec hx = uniform_state(5, rng);
   const CVec hy = uniform_state(5, rng);
@@ -427,19 +428,23 @@ TEST(ExactAnalyzerBytePinTest, MatrixFreeOutputsMatchRecordedBits) {
   }
   const ExactEqPathAnalyzer analyzer(hx, hy, 4,
                                      ExactEqPathAnalyzer::Mode::kMatrixFree);
-  for (const Pin& pin : pins) {
-    if (!simd::is_supported(pin.level)) {
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (!simd::is_supported(level)) {
       continue;
     }
-    const simd::LevelScope scope(pin.level);
-    Rng optimizer(77);
-    const std::uint64_t got[] = {
-        amplitude_hash(analyzer.apply_acceptance(probe)),
-        double_bits(analyzer.product_accept(regs)),
-        double_bits(analyzer.best_product_accept(optimizer, 2, 20))};
-    EXPECT_EQ(got[0], pin.apply_hash) << simd::level_name(pin.level);
-    EXPECT_EQ(got[1], pin.product_accept) << simd::level_name(pin.level);
-    EXPECT_EQ(got[2], pin.best_product_accept) << simd::level_name(pin.level);
+    const simd::LevelScope scope(level);
+    for (const int threads : {1, 4}) {
+      const dqma::sweep::KernelThreadScope pool(threads);
+      Rng optimizer(77);
+      EXPECT_EQ(amplitude_hash(analyzer.apply_acceptance(probe)), apply_hash)
+          << simd::level_name(level) << ", threads " << threads;
+      EXPECT_EQ(double_bits(analyzer.product_accept(regs)), product_accept)
+          << simd::level_name(level) << ", threads " << threads;
+      EXPECT_EQ(double_bits(analyzer.best_product_accept(optimizer, 2, 20)),
+                best_product_accept)
+          << simd::level_name(level) << ", threads " << threads;
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "dqma/exact_runner.hpp"
@@ -330,6 +331,118 @@ TEST_F(LocalOpsPropertyTest, AdjointAwareMultipliesMatchMaterializedAdjoint) {
 
 class ExactEngineModesTest : public SeededTest {};
 
+/// One differential case of the exact engine: endpoint states (Haar, or
+/// unnormalized with Gaussian entries of mean square norm 1 — the closed
+/// forms must equal the effect matrices for any input) on a path of
+/// length r.
+struct EngineCase {
+  CVec hx;
+  CVec hy;
+  int r;
+  bool unnormalized;
+  std::string label;
+};
+
+/// Largest proof dimension the tests materialize a kDense operator for.
+constexpr long long kMaxDenseOracleDim = 1024;
+
+CVec gaussian_state(int d, Rng& rng) {
+  CVec v(d);
+  const double scale = 1.0 / std::sqrt(2.0 * d);
+  for (int i = 0; i < d; ++i) {
+    v[i] = Complex{scale * rng.next_gaussian(), scale * rng.next_gaussian()};
+  }
+  return v;
+}
+
+/// d in {2, 3, 5} x r in {2, 3, 4, 5} within the exact-engine cap (proof
+/// dimensions 4 .. 5^6; 5^8 exceeds it), each with Haar and with
+/// unnormalized endpoints.
+std::vector<EngineCase> engine_cases(Rng& rng) {
+  std::vector<EngineCase> cases;
+  for (const int d : {2, 3, 5}) {
+    for (const int r : {2, 3, 4, 5}) {
+      if (std::pow(d, 2 * (r - 1)) > dqma::util::kMaxExactDim) {
+        continue;
+      }
+      for (const bool unnormalized : {false, true}) {
+        const auto draw = [&] {
+          return unnormalized ? gaussian_state(d, rng) : haar_state(d, rng);
+        };
+        CVec hx = draw();
+        CVec hy = draw();
+        cases.push_back({std::move(hx), std::move(hy), r, unnormalized,
+                         "d=" + std::to_string(d) + " r=" + std::to_string(r) +
+                             (unnormalized ? " unnormalized" : " haar")});
+      }
+    }
+  }
+  return cases;
+}
+
+long long proof_dim(const EngineCase& c) {
+  return static_cast<long long>(
+      std::llround(std::pow(c.hx.dim(), 2 * (c.r - 1))));
+}
+
+/// Product-proof registers for a case: unnormalized along with its
+/// endpoints, so the closed forms' norm factors are exercised.
+std::vector<CVec> case_registers(const EngineCase& c, Rng& rng) {
+  std::vector<CVec> regs;
+  for (int k = 0; k < 2 * (c.r - 1); ++k) {
+    regs.push_back(c.unnormalized ? gaussian_state(c.hx.dim(), rng)
+                                  : haar_state(c.hx.dim(), rng));
+  }
+  return regs;
+}
+
+CVec flatten(const std::vector<CVec>& regs) {
+  CVec flat(1);
+  flat[0] = Complex{1.0, 0.0};
+  for (const CVec& v : regs) {
+    flat = flat.tensor(v);
+  }
+  return flat;
+}
+
+/// O psi from the effect matrices: the kDense operator when it is small,
+/// otherwise every pattern's effects streamed through the generic
+/// apply_local (register order R_{1,0}, R_{1,1}, ...; pattern bit j - 1
+/// keeps R_{j,bit} and sends the other register of pair j).
+CVec reference_acceptance(const EngineCase& c, const CVec& psi) {
+  if (proof_dim(c) <= kMaxDenseOracleDim) {
+    const ExactEqPathAnalyzer dense(c.hx, c.hy, c.r,
+                                    ExactEqPathAnalyzer::Mode::kDense);
+    return dense.acceptance_operator() * psi;
+  }
+  const int d = c.hx.dim();
+  const int inner = c.r - 1;
+  const RegisterShape shape(std::vector<int>(2 * inner, d));
+  CMat first = CMat::identity(d);
+  first += CMat::projector(c.hx);
+  first *= Complex{0.5, 0.0};
+  CMat swap_effect = dqma::quantum::swap_unitary(d);
+  swap_effect += CMat::identity(d * d);
+  swap_effect *= Complex{0.5, 0.0};
+  const CMat final_effect = CMat::projector(c.hy);
+  CVec out(psi.dim());
+  for (int pattern = 0; pattern < (1 << inner); ++pattern) {
+    const auto kept = [&](int j) {
+      return 2 * (j - 1) + ((pattern >> (j - 1)) & 1);
+    };
+    const auto sent = [&](int j) { return 4 * (j - 1) + 1 - kept(j); };
+    CVec term = psi;
+    apply_local(shape, first, {kept(1)}, term);
+    for (int j = 2; j <= inner; ++j) {
+      apply_local(shape, swap_effect, {sent(j - 1), kept(j)}, term);
+    }
+    apply_local(shape, final_effect, {sent(inner)}, term);
+    out += term;
+  }
+  out *= Complex{1.0 / (1 << inner), 0.0};
+  return out;
+}
+
 TEST_F(ExactEngineModesTest, StreamedOperatorMatchesEmbeddedAssembly) {
   // Reassemble the r = 3 acceptance operator exactly as the pre-engine code
   // did — products of embedded effects, averaged over patterns — and
@@ -366,18 +479,53 @@ TEST_F(ExactEngineModesTest, StreamedOperatorMatchesEmbeddedAssembly) {
 }
 
 TEST_F(ExactEngineModesTest, MatrixFreeApplicationMatchesDenseOperator) {
-  for (const int r : {2, 3, 4}) {
-    const CVec hx = haar_state(2, rng());
-    const CVec hy = haar_state(2, rng());
-    const ExactEqPathAnalyzer dense(hx, hy, r,
-                                    ExactEqPathAnalyzer::Mode::kDense);
-    const ExactEqPathAnalyzer free(hx, hy, r,
+  for (const EngineCase& c : engine_cases(rng())) {
+    const ExactEqPathAnalyzer free(c.hx, c.hy, c.r,
                                    ExactEqPathAnalyzer::Mode::kMatrixFree);
     EXPECT_FALSE(free.dense());
-    const CVec psi =
-        haar_state(static_cast<int>(dense.proof_dim()), rng());
+    const CVec psi = haar_state(static_cast<int>(free.proof_dim()), rng());
     EXPECT_STATE_NEAR_TOL(free.apply_acceptance(psi),
-                          dense.acceptance_operator() * psi, 1e-11);
+                          reference_acceptance(c, psi), 1e-12)
+        << c.label;
+  }
+}
+
+TEST_F(ExactEngineModesTest, MatrixFreeConditionalMatchesDenseContraction) {
+  // M_k(i, j) = <psi_-k, e_i| O |psi_-k, e_j>, contracted from the kDense
+  // operator, for every register k of every small case.
+  for (const EngineCase& c : engine_cases(rng())) {
+    if (proof_dim(c) > kMaxDenseOracleDim) {
+      continue;
+    }
+    const ExactEqPathAnalyzer dense(c.hx, c.hy, c.r,
+                                    ExactEqPathAnalyzer::Mode::kDense);
+    const ExactEqPathAnalyzer free(c.hx, c.hy, c.r,
+                                   ExactEqPathAnalyzer::Mode::kMatrixFree);
+    const std::vector<CVec> regs = case_registers(c, rng());
+    const int d = c.hx.dim();
+    for (int k = 0; k < static_cast<int>(regs.size()); ++k) {
+      std::vector<CVec> columns;  // |psi_-k, e_j>, then O |psi_-k, e_j>
+      std::vector<CVec> applied;
+      for (int j = 0; j < d; ++j) {
+        std::vector<CVec> with_basis = regs;
+        with_basis[static_cast<std::size_t>(k)] = CVec::basis(d, j);
+        columns.push_back(flatten(with_basis));
+        applied.push_back(dense.acceptance_operator() * columns.back());
+      }
+      CMat expected(d, d);
+      for (int i = 0; i < d; ++i) {
+        for (int j = 0; j < d; ++j) {
+          expected(i, j) = columns[static_cast<std::size_t>(i)].dot(
+              applied[static_cast<std::size_t>(j)]);
+        }
+      }
+      EXPECT_DENSITY_NEAR_TOL(free.conditional_operator(k, regs), expected,
+                              1e-12)
+          << c.label << ", register " << k;
+      EXPECT_DENSITY_NEAR_TOL(dense.conditional_operator(k, regs), expected,
+                              1e-12)
+          << c.label << ", register " << k;
+    }
   }
 }
 
@@ -397,24 +545,19 @@ TEST_F(ExactEngineModesTest, MatrixFreeWorstCaseMatchesDense) {
 }
 
 TEST_F(ExactEngineModesTest, MatrixFreeProductAcceptMatchesDenseQuadraticForm) {
-  for (const int r : {2, 3, 4}) {
-    const CVec hx = haar_state(3, rng());
-    const CVec hy = haar_state(3, rng());
-    const ExactEqPathAnalyzer dense(hx, hy, r,
-                                    ExactEqPathAnalyzer::Mode::kDense);
-    const ExactEqPathAnalyzer free(hx, hy, r,
+  for (const EngineCase& c : engine_cases(rng())) {
+    const ExactEqPathAnalyzer free(c.hx, c.hy, c.r,
                                    ExactEqPathAnalyzer::Mode::kMatrixFree);
-    std::vector<CVec> regs;
-    CVec flat(1);
-    flat[0] = Complex{1.0, 0.0};
-    for (int k = 0; k < 2 * (r - 1); ++k) {
-      regs.push_back(haar_state(3, rng()));
-      flat = flat.tensor(regs.back());
+    const std::vector<CVec> regs = case_registers(c, rng());
+    const CVec flat = flatten(regs);
+    const double quadratic =
+        std::max(0.0, flat.dot(reference_acceptance(c, flat)).real());
+    EXPECT_NEAR(free.product_accept(regs), quadratic, 1e-12) << c.label;
+    if (proof_dim(c) <= kMaxDenseOracleDim) {
+      const ExactEqPathAnalyzer dense(c.hx, c.hy, c.r,
+                                      ExactEqPathAnalyzer::Mode::kDense);
+      EXPECT_NEAR(dense.product_accept(regs), quadratic, 1e-12) << c.label;
     }
-    const double quadratic = std::max(
-        0.0, flat.dot(dense.acceptance_operator() * flat).real());
-    EXPECT_NEAR(free.product_accept(regs), quadratic, 1e-10);
-    EXPECT_NEAR(dense.product_accept(regs), quadratic, 1e-10);
   }
 }
 
