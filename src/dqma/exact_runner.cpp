@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/simd.hpp"
 #include "quantum/random.hpp"
 #include "quantum/unitary.hpp"
 #include "sweep/parallel.hpp"
@@ -14,6 +15,7 @@ namespace dqma::protocol {
 using linalg::Complex;
 using quantum::LocalOpPlan;
 using quantum::RegisterShape;
+namespace simd = linalg::simd;
 using util::require;
 
 namespace {
@@ -39,37 +41,196 @@ void for_each_run(const LocalOpPlan& plan, std::size_t run, const Fn& body) {
       });
 }
 
-/// dst <- (keep I + w |h><h|) src along the plan's one register, or dst +=
-/// that with `accumulate`; src may alias dst. keep = w = 1/2 is the first
+/// One rank-one pass: dst <- (keep I + w |h><h|) src along a plan's one
+/// register, or dst += that with `accumulate`. keep = w = 1/2 is the first
 /// test (I + |h_x><h_x|)/2; keep = 0 accumulates the final measurement
-/// w |h_y><h_y|. Per tile of a run: contract h^dagger src, then write back.
+/// w |h_y><h_y|. Amplitudes are read and written as interleaved (re, im)
+/// doubles; h = (hr, hi) likewise.
+struct RankOne {
+  const double* h;
+  const long long* toff;  // target offsets, in amplitudes
+  const long long* foff;  // free offsets, in amplitudes
+  int d;
+  long long run;  // free offsets per contiguous run (the target's stride)
+  double keep;
+  double w;
+  const double* src;  // must not alias dst
+  double* dst;
+  bool accumulate;
+};
+
+/// o = v, or o += v when accumulating.
+template <bool kAccumulate>
+[[gnu::always_inline]] inline void put(double& o, double v) {
+  if constexpr (kAccumulate) {
+    o += v;
+  } else {
+    o = v;
+  }
+}
+
+/// The complex products in real arithmetic: the same products and sums
+/// std::complex forms, without the NaN-recovery branch that keeps its loops
+/// from vectorizing. The contraction is c += conj(h_a) s, then v = keep s +
+/// (w h_a) c is stored or added. Per amplitude the operation order does not
+/// depend on the tile, the target ISA or the chunking, and this file is
+/// compiled without FMA contraction, so every level rounds identically.
+/// Every difference is spelled x + (-a) * b: gcc's SLP complex-multiply
+/// patterns would otherwise fuse the add/subtract pairs into vfmaddsub even
+/// with contraction off.
+template <bool kAccumulate>
+[[gnu::always_inline]] inline void rank_one_tile(const RankOne& k,
+                                                 long long base, long long n) {
+  const double* __restrict h = k.h;
+  const double keep = k.keep;
+  const double w = k.w;
+  double cr[kTile];
+  double ci[kTile];
+  for (long long t = 0; t < n; ++t) {
+    cr[t] = 0.0;
+    ci[t] = 0.0;
+  }
+  for (int a = 0; a < k.d; ++a) {
+    const double hr = h[2 * a];
+    const double hi = h[2 * a + 1];
+    const double* __restrict s = k.src + 2 * (base + k.toff[a]);
+    for (long long t = 0; t < n; ++t) {
+      cr[t] += hr * s[2 * t] + hi * s[2 * t + 1];
+      ci[t] += hr * s[2 * t + 1] + (-hi) * s[2 * t];
+    }
+  }
+  for (int a = 0; a < k.d; ++a) {
+    const double wr = h[2 * a] * w;
+    const double wi = h[2 * a + 1] * w;
+    const double* __restrict s = k.src + 2 * (base + k.toff[a]);
+    double* __restrict o = k.dst + 2 * (base + k.toff[a]);
+    for (long long t = 0; t < n; ++t) {
+      put<kAccumulate>(o[2 * t],
+                       keep * s[2 * t] + (wr * cr[t] + (-wi) * ci[t]));
+      put<kAccumulate>(o[2 * t + 1],
+                       keep * s[2 * t + 1] + (wr * ci[t] + wi * cr[t]));
+    }
+  }
+}
+
+/// The stride-1 target: the d amplitudes at base .. base + d are one fiber,
+/// contracted by one serial sum (the per-amplitude order of rank_one_tile).
+template <bool kAccumulate>
+[[gnu::always_inline]] inline void rank_one_fiber(const RankOne& k,
+                                                  long long base) {
+  const double* __restrict h = k.h;
+  const double* __restrict s = k.src + 2 * base;
+  double* __restrict o = k.dst + 2 * base;
+  const double keep = k.keep;
+  const double w = k.w;
+  double cr = 0.0;
+  double ci = 0.0;
+  for (int a = 0; a < k.d; ++a) {
+    const double hr = h[2 * a];
+    const double hi = h[2 * a + 1];
+    cr += hr * s[2 * a] + hi * s[2 * a + 1];
+    ci += hr * s[2 * a + 1] + (-hi) * s[2 * a];
+  }
+  for (int a = 0; a < k.d; ++a) {
+    const double wr = h[2 * a] * w;
+    const double wi = h[2 * a + 1] * w;
+    put<kAccumulate>(o[2 * a], keep * s[2 * a] + (wr * cr + (-wi) * ci));
+    put<kAccumulate>(o[2 * a + 1], keep * s[2 * a + 1] + (wr * ci + wi * cr));
+  }
+}
+
+/// Free offsets [begin, end): runs of at most k.run consecutive amplitudes
+/// (the registers below the target), cut into tiles of kTile, or fibers
+/// when the target has stride 1.
+template <bool kAccumulate>
+[[gnu::always_inline]] inline void rank_one_runs(const RankOne& k,
+                                                 std::size_t begin,
+                                                 std::size_t end) {
+  const std::size_t run = static_cast<std::size_t>(k.run);
+  if (run == 1) {
+    for (std::size_t f = begin; f < end; ++f) {
+      rank_one_fiber<kAccumulate>(k, k.foff[f]);
+    }
+    return;
+  }
+  for (std::size_t f = begin; f < end;) {
+    const std::size_t stop = std::min(end, (f / run + 1) * run);
+    const long long base = k.foff[f];
+    const long long len = static_cast<long long>(stop - f);
+    for (long long t0 = 0; t0 < len; t0 += kTile) {
+      rank_one_tile<kAccumulate>(k, base + t0, std::min(kTile, len - t0));
+    }
+    f = stop;
+  }
+}
+
+/// The one kernel body; the wrappers below instantiate it per level.
+[[gnu::always_inline]] inline void rank_one_chunk(const RankOne& k,
+                                                  std::size_t begin,
+                                                  std::size_t end) {
+  if (k.accumulate) {
+    rank_one_runs<true>(k, begin, end);
+  } else {
+    rank_one_runs<false>(k, begin, end);
+  }
+}
+
+void rank_one_chunk_scalar(const RankOne& k, std::size_t begin,
+                           std::size_t end) {
+  rank_one_chunk(k, begin, end);
+}
+
+#if DQMA_SIMD_X86
+DQMA_TARGET_AVX2 void rank_one_chunk_avx2(const RankOne& k, std::size_t begin,
+                                          std::size_t end) {
+  rank_one_chunk(k, begin, end);
+}
+
+DQMA_TARGET_AVX512 void rank_one_chunk_avx512(const RankOne& k,
+                                              std::size_t begin,
+                                              std::size_t end) {
+  rank_one_chunk(k, begin, end);
+}
+#endif
+
+/// Runs one rank-one pass over the plan's register on the kernel pool
+/// (~8 flops per target amplitude, disjoint chunks of free offsets). The
+/// level is resolved on the calling thread and captured, per the
+/// linalg/simd.hpp rule.
 void rank_one_pass(const LocalOpPlan& plan, const CVec& h, double keep,
                    double w, const Complex* src, Complex* dst,
                    bool accumulate) {
   const std::vector<long long>& toff = plan.target_offsets();
-  const int d = h.dim();
-  for_each_run(plan, toff[1], [&](long long base, long long len) {
-    for (long long t0 = 0; t0 < len; t0 += kTile) {
-      const long long n = std::min(kTile, len - t0);
-      Complex c[kTile];
-      std::fill(c, c + n, Complex{0.0, 0.0});
-      for (int a = 0; a < d; ++a) {
-        const Complex ha = std::conj(h[a]);
-        const Complex* s = src + base + t0 + toff[static_cast<std::size_t>(a)];
-        for (long long t = 0; t < n; ++t) {
-          c[t] += ha * s[t];
+  const std::vector<long long>& foff = plan.free_offsets();
+  const RankOne k{
+      reinterpret_cast<const double*>(linalg::ConstComplexView(h).aos_data()),
+      toff.data(),
+      foff.data(),
+      h.dim(),
+      toff[1],
+      keep,
+      w,
+      reinterpret_cast<const double*>(src),
+      reinterpret_cast<double*>(dst),
+      accumulate};
+  const simd::Level level = simd::active();
+  sweep::parallel_for(
+      foff.size(),
+      sweep::grain_for_ops(8 * static_cast<std::size_t>(plan.block())),
+      [&k, level](std::size_t begin, std::size_t end) {
+        switch (level) {
+#if DQMA_SIMD_X86
+          case simd::Level::kAvx512:
+            rank_one_chunk_avx512(k, begin, end);
+            return;
+          case simd::Level::kAvx2:
+            rank_one_chunk_avx2(k, begin, end);
+            return;
+#endif
+          default:
+            rank_one_chunk_scalar(k, begin, end);
         }
-      }
-      for (int a = 0; a < d; ++a) {
-        const Complex ha = h[a] * w;
-        const long long off = base + t0 + toff[static_cast<std::size_t>(a)];
-        for (long long t = off; t < off + n; ++t) {
-          const Complex v = keep * src[t] + ha * c[t - off];
-          dst[t] = accumulate ? dst[t] + v : v;
-        }
-      }
-    }
-  });
+      });
 }
 
 /// psi <- ((I + SWAP)/2) psi on the plan's register pair: psi[..i..j..] and
@@ -228,16 +389,26 @@ CVec ExactEqPathAnalyzer::apply_acceptance(const CVec& psi) const {
   if (dense_) {
     return op_ * psi;
   }
+  CVec out(static_cast<int>(proof_dim_));
+  CVec scratch;
+  apply_matrix_free(psi, out, scratch);
+  return out;
+}
+
+void ExactEqPathAnalyzer::apply_matrix_free(const CVec& psi, CVec& out,
+                                            CVec& scratch) const {
   // The pattern loop stays serial (per-chunk D-dimensional partial sums
   // measured slower); each effect is one parallel O(D) pass by its closed
   // form. The first test reads psi into the scratch, the swap tests work in
   // place, and the final measurement accumulates into out, pre-scaled by
   // 1/patterns (a power of two, so the scaling is exact).
-  CVec out(static_cast<int>(proof_dim_));
-  CVec tmp(static_cast<int>(proof_dim_));
-  const Complex* in = linalg::ConstComplexView(psi).aos_data();
-  Complex* p = linalg::MutComplexView(tmp).aos_data();
+  if (scratch.dim() != out.dim()) {
+    scratch = CVec(out.dim());
+  }
   Complex* acc = linalg::MutComplexView(out).aos_data();
+  std::fill(acc, acc + out.dim(), Complex{0.0, 0.0});
+  const Complex* in = linalg::ConstComplexView(psi).aos_data();
+  Complex* p = linalg::MutComplexView(scratch).aos_data();
   for (const std::vector<PatternEffect>& effects : pattern_effects_) {
     rank_one_pass(plans_[effects.front().plan], hx_, 0.5, 0.5, in, p, false);
     for (std::size_t e = 1; e + 1 < effects.size(); ++e) {
@@ -246,8 +417,41 @@ CVec ExactEqPathAnalyzer::apply_acceptance(const CVec& psi) const {
     rank_one_pass(plans_[effects.back().plan], hy_, 0.0, 1.0 / patterns_, p,
                   acc, true);
   }
-  return out;
 }
+
+/// The matrix-free action as a LinearOperator for one solve: apply_into
+/// writes the caller's vector and reuses the operator's own scratch, so a
+/// Lanczos step allocates nothing. Like DenseOperator, one instance must not
+/// be applied from two threads at once; the analyzer itself stays immutable.
+class ExactEqPathAnalyzer::MatrixFreeOperator final
+    : public linalg::LinearOperator {
+ public:
+  explicit MatrixFreeOperator(const ExactEqPathAnalyzer& analyzer)
+      : analyzer_(analyzer) {}
+
+  int dim() const override {
+    return static_cast<int>(analyzer_.proof_dim_);
+  }
+
+  CVec apply(const CVec& x) const override {
+    CVec out(dim());
+    apply_into(x, out);
+    return out;
+  }
+
+  void apply_into(const CVec& x, CVec& out) const override {
+    require(x.dim() == dim(), "ExactEqPathAnalyzer: state dimension mismatch");
+    require(&x != &out, "ExactEqPathAnalyzer: apply_into input aliases output");
+    if (out.dim() != dim()) {
+      out = CVec(dim());
+    }
+    analyzer_.apply_matrix_free(x, out, scratch_);
+  }
+
+ private:
+  const ExactEqPathAnalyzer& analyzer_;
+  mutable CVec scratch_;
+};
 
 double ExactEqPathAnalyzer::worst_case_accept(int max_iters) const {
   linalg::SpectralOptions opts;
@@ -259,14 +463,13 @@ double ExactEqPathAnalyzer::worst_case_accept(
     const linalg::SpectralOptions& opts, linalg::SpectralStats* stats) const {
   // Both operator forms feed the same spectral dispatcher: DenseOperator
   // packs op_ to split-complex once (SIMD matvec per iteration),
-  // CallbackOperator streams through apply_acceptance.
+  // MatrixFreeOperator streams the closed-form passes into Lanczos's own
+  // vectors.
   if (dense_) {
     const linalg::DenseOperator op(op_);
     return std::min(1.0, linalg::top_eigenvalue_psd(op, opts, nullptr, stats));
   }
-  const linalg::CallbackOperator op(
-      [this](const CVec& psi) { return apply_acceptance(psi); },
-      static_cast<int>(proof_dim_));
+  const MatrixFreeOperator op(*this);
   return std::min(1.0, linalg::top_eigenvalue_psd(op, opts, nullptr, stats));
 }
 

@@ -27,10 +27,19 @@
 //     effect acts by its closed form in one O(D) pass (psi <- psi/2 +
 //     h_x (h_x^dagger psi)/2, psi <- h_y (h_y^dagger psi), and (I + SWAP)/2
 //     as the average of psi[..i..j..] and psi[..j..i..]), so a matvec costs
-//     O(patterns * r * D). worst_case_accept runs Lanczos on that action;
-//     the product-prover optimizer uses closed-form expectations (O(d)) and
-//     conditional blocks (O(d^2)), and takes top eigenvectors by Lanczos.
+//     O(patterns * r * D). worst_case_accept runs Lanczos on that action
+//     through a per-solve operator that writes into the solver's vector and
+//     reuses one scratch, so no matvec allocates; the product-prover
+//     optimizer uses closed-form expectations (O(d)) and conditional blocks
+//     (O(d^2)), and takes top eigenvectors by Lanczos.
 // kAuto picks kDense up to kMaxDenseProofDim and kMatrixFree beyond.
+//
+// Determinism. The rank-one passes are real-arithmetic tile loops (the
+// stride-1 register as contiguous d-amplitude fibers) instantiated per SIMD
+// dispatch level and compiled without FMA contraction: every amplitude sees
+// the same operations in the same order at every level, so the matrix-free
+// outputs are byte-identical across levels as well as across kernel thread
+// counts (tests/determinism_test.cpp pins them).
 //
 // Dimensions: the proof space has dimension d^{2(r-1)} for fingerprint
 // stand-ins of dimension d; constructors enforce the exact-engine cap
@@ -145,6 +154,14 @@ class ExactEqPathAnalyzer {
   std::vector<std::vector<PatternEffect>> pattern_effects_;
   std::vector<quantum::LocalOpPlan> plans_;
 
+  /// Per-solve LinearOperator over the matrix-free action (defined in the
+  /// .cpp): it owns one scratch vector, so Lanczos matvecs allocate nothing.
+  class MatrixFreeOperator;
+
+  /// out <- O psi by the closed-form passes; zero-fills out (sized by the
+  /// caller to proof_dim(), not aliasing psi) and uses scratch (resized if
+  /// needed) as the pattern workspace.
+  void apply_matrix_free(const CVec& psi, CVec& out, CVec& scratch) const;
   const CMat& effect_matrix(EffectKind kind) const;
   /// Closed-form <w| effect |w> for the group's product state.
   double local_expectation(const PatternEffect& pe,

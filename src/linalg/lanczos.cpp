@@ -14,20 +14,6 @@ using util::require;
 
 namespace {
 
-/// Deterministic start vector shared by every iterative spectral routine:
-/// equal superposition with varying phases, so it overlaps any eigenvector
-/// with overwhelming probability. Fixed recipe — no RNG — so solves are
-/// reproducible across runs, threads, and shards.
-CVec spectral_start_vector(int n) {
-  CVec x(n);
-  for (int i = 0; i < n; ++i) {
-    const double angle = 0.7 * static_cast<double>(i) + 0.3;
-    x[i] = Complex{std::cos(angle), std::sin(angle)};
-  }
-  x.normalize();
-  return x;
-}
-
 /// The shared stop rule: an eigenpair estimate (theta, x) is accepted when
 /// the residual ||A x - theta x|| clears tol relative to the eigenvalue
 /// scale. Used by both Lanczos (via the beta * |y_last| bound) and power
@@ -93,6 +79,42 @@ void axpy_group(const Complex* a, const Complex* const* x, Complex* y,
   }
 }
 
+/// part[i] = sum over e in [begin, end) of conj(basis[i][e]) * w[e], basis
+/// vectors in groups of kGroup.
+void dots_range(const std::vector<const Complex*>& b, const Complex* w,
+                std::size_t begin, std::size_t end, Complex* part) {
+  const std::size_t m = b.size();
+  std::size_t i = 0;
+  for (; i + kGroup <= m; i += kGroup) {
+    dot_group<kGroup>(b.data() + i, w, begin, end, part + i);
+  }
+  for (; i < m; ++i) {
+    dot_group<1>(b.data() + i, w, begin, end, part + i);
+  }
+}
+
+/// y[e] += sum_i coeffs[i] * basis[i][e] for e in [begin, end), every entry
+/// summed in ascending i.
+void combine_range(const Complex* coeffs, const std::vector<const Complex*>& x,
+                   Complex* y, std::size_t begin, std::size_t end) {
+  const std::size_t m = x.size();
+  std::size_t i = 0;
+  for (; i + kGroup <= m; i += kGroup) {
+    axpy_group<kGroup>(coeffs + i, x.data() + i, y, begin, end);
+  }
+  for (; i < m; ++i) {
+    axpy_group<1>(coeffs + i, x.data() + i, y, begin, end);
+  }
+}
+
+std::vector<Complex> add_partials(std::vector<Complex> acc,
+                                  const std::vector<Complex>& part) {
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    acc[i] += part[i];
+  }
+  return acc;
+}
+
 /// h[i] = <basis[i] | w> for every stored basis vector in one pass over w:
 /// per-chunk partial dots over a fixed element partition, combined in chunk
 /// order (sweep/parallel.hpp), so the coefficients are identical at any
@@ -106,41 +128,52 @@ std::vector<Complex> project(const std::vector<CVec>& basis, const CVec& w) {
       std::vector<Complex>(m),
       [&](std::size_t begin, std::size_t end) {
         std::vector<Complex> part(m);
-        std::size_t i = 0;
-        for (; i + kGroup <= m; i += kGroup) {
-          dot_group<kGroup>(b.data() + i, wp, begin, end, part.data() + i);
-        }
-        for (; i < m; ++i) {
-          dot_group<1>(b.data() + i, wp, begin, end, part.data() + i);
-        }
+        dots_range(b, wp, begin, end, part.data());
         return part;
       },
-      [](std::vector<Complex> acc, const std::vector<Complex>& part) {
-        for (std::size_t i = 0; i < acc.size(); ++i) {
-          acc[i] += part[i];
-        }
-        return acc;
-      });
+      add_partials);
+}
+
+/// w += sum_i coeffs[i] * basis[i], then h[i] = <basis[i] | w>: CGS2's first
+/// subtraction and second projection as one sweep over the basis. Per chunk
+/// of project's partition the chunk's elements are updated, then dotted;
+/// each element's update is independent of the partition, so the result is
+/// bit-identical to add_combination followed by project.
+std::vector<Complex> combine_then_project(const std::vector<Complex>& coeffs,
+                                          const std::vector<CVec>& basis,
+                                          CVec& w) {
+  const std::size_t m = basis.size();
+  const std::vector<const Complex*> b = element_pointers(basis, m);
+  Complex* wp = MutComplexView(w).aos_data();
+  return sweep::parallel_reduce<std::vector<Complex>>(
+      static_cast<std::size_t>(w.dim()), sweep::grain_for_ops(m),
+      std::vector<Complex>(m),
+      [&](std::size_t begin, std::size_t end) {
+        combine_range(coeffs.data(), b, wp, begin, end);
+        std::vector<Complex> part(m);
+        dots_range(b, wp, begin, end, part.data());
+        return part;
+      },
+      add_partials);
 }
 
 /// y += sum_i coeffs[i] * basis[i], every entry summed in ascending i. Chunks
 /// own disjoint element ranges, so the result is thread-count invariant.
 void add_combination(const std::vector<Complex>& coeffs,
                      const std::vector<CVec>& basis, CVec& y) {
-  const std::size_t m = coeffs.size();
-  const std::vector<const Complex*> x = element_pointers(basis, m);
+  const std::vector<const Complex*> x = element_pointers(basis, coeffs.size());
   Complex* yp = MutComplexView(y).aos_data();
-  sweep::parallel_for(
-      static_cast<std::size_t>(y.dim()), sweep::grain_for_ops(m),
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t i = 0;
-        for (; i + kGroup <= m; i += kGroup) {
-          axpy_group<kGroup>(coeffs.data() + i, x.data() + i, yp, begin, end);
-        }
-        for (; i < m; ++i) {
-          axpy_group<1>(coeffs.data() + i, x.data() + i, yp, begin, end);
-        }
-      });
+  sweep::parallel_for(static_cast<std::size_t>(y.dim()),
+                      sweep::grain_for_ops(coeffs.size()),
+                      [&](std::size_t begin, std::size_t end) {
+                        combine_range(coeffs.data(), x, yp, begin, end);
+                      });
+}
+
+void negate(std::vector<Complex>& coeffs) {
+  for (Complex& c : coeffs) {
+    c = -c;
+  }
 }
 
 /// Sturm-sequence count: number of eigenvalues of the symmetric tridiagonal
@@ -163,13 +196,158 @@ int sturm_count_below(const std::vector<double>& alpha,
   return count;
 }
 
-/// Unit top eigenvector of the symmetric tridiagonal (alpha, beta) for the
-/// (already converged) eigenvalue theta, by two steps of inverse iteration.
-/// The shifted solve is Gaussian elimination with partial pivoting on the
-/// tridiagonal (LAPACK dgtsv's pivoting pattern, which fills in a second
-/// superdiagonal); near-singular pivots — expected, theta is an eigenvalue —
-/// are replaced by a tiny scale-relative value, which just boosts the
-/// amplification inverse iteration relies on.
+/// Power iteration with the residual-augmented stop rule: one operator
+/// application per iteration (iteration k's Rayleigh product is reused as
+/// iteration k+1's image); convergence needs BOTH a small Rayleigh-quotient
+/// delta and a small true residual, so near-degenerate spectra (clustered
+/// top eigenvalues) can no longer trip a spurious early exit.
+double power_iterate(const LinearOperator& op, int max_iters, double tol,
+                     CVec* vec_out, SpectralStats* stats) {
+  SpectralStats local;
+  const int dim = op.dim();
+  if (dim == 0) {
+    local.converged = true;
+    if (vec_out != nullptr) {
+      *vec_out = CVec();
+    }
+    if (stats != nullptr) {
+      *stats = local;
+    }
+    return 0.0;
+  }
+  CVec x = spectral_start_vector(dim);
+  CVec image(dim);
+  op.apply_into(x, image);
+  ++local.matvecs;
+  double lambda = 0.0;
+  for (int it = 0; it < max_iters; ++it) {
+    local.iterations = it + 1;
+    const double norm = image.norm();
+    if (norm < 1e-300) {
+      // The operator annihilates the iterate; spectrum is ~0 on it.
+      local.converged = true;
+      lambda = 0.0;
+      break;
+    }
+    const double inv = 1.0 / norm;
+    for (int i = 0; i < dim; ++i) {
+      x[i] = image[i] * inv;
+    }
+    op.apply_into(x, image);
+    ++local.matvecs;
+    const double next = std::real(x.dot(image));
+    double resid_sq = 0.0;
+    for (int i = 0; i < dim; ++i) {
+      resid_sq += std::norm(image[i] - next * x[i]);
+    }
+    const bool done =
+        std::abs(next - lambda) <= tol * std::max(1.0, next) &&
+        residual_converged(std::sqrt(resid_sq), next, tol);
+    lambda = next;
+    if (done && it > 2) {
+      local.converged = true;
+      break;
+    }
+  }
+  if (vec_out != nullptr) {
+    *vec_out = x;
+  }
+  if (stats != nullptr) {
+    *stats = local;
+  }
+  return lambda;
+}
+
+/// Deterministic Lanczos with full reorthogonalization. Per step: one
+/// operator application, two classical Gram-Schmidt passes against the
+/// whole stored basis in three sweeps over it (CGS2: project; subtract and
+/// re-project fused per chunk; subtract; always both passes, no
+/// norm-triggered branching, so the instruction stream is
+/// input-independent), then the top Ritz pair of the tridiagonal and the
+/// standard beta * |y_last| residual bound. Breakdown
+/// (beta ~ 0) means the Krylov space is exhausted and the tridiagonal is
+/// exact — rank-deficient and tiny-dimension operators converge that way.
+double lanczos_iterate(const LinearOperator& op, int max_iters, double tol,
+                       CVec* vec_out, SpectralStats* stats) {
+  SpectralStats local;
+  local.used_lanczos = true;
+  const int dim = op.dim();
+  if (dim == 0) {
+    local.converged = true;
+    if (vec_out != nullptr) {
+      *vec_out = CVec();
+    }
+    if (stats != nullptr) {
+      *stats = local;
+    }
+    return 0.0;
+  }
+  std::vector<CVec> basis;
+  basis.push_back(spectral_start_vector(dim));
+  std::vector<double> alpha;
+  std::vector<double> beta;  // beta[j] couples basis[j] and basis[j + 1]
+  std::vector<double> ritz;  // top eigenvector of the current tridiagonal
+  CVec w(dim);
+  const int m_max = std::max(1, std::min({dim, max_iters, kMaxLanczosBasis}));
+  double theta = 0.0;
+  for (int j = 0; j < m_max; ++j) {
+    op.apply_into(basis[static_cast<std::size_t>(j)], w);
+    ++local.matvecs;
+    // CGS2 in three sweeps: project; subtract and re-project; subtract.
+    std::vector<Complex> h = project(basis, w);
+    double aj = 0.0;
+    aj += h[static_cast<std::size_t>(j)].real();
+    negate(h);
+    h = combine_then_project(h, basis, w);
+    aj += h[static_cast<std::size_t>(j)].real();
+    negate(h);
+    add_combination(h, basis, w);
+    alpha.push_back(aj);
+    local.iterations = j + 1;
+    const double bj = w.norm();
+    theta = tridiag_max_eigenvalue(alpha, beta);
+    ritz = tridiag_top_eigenvector(alpha, beta, theta);
+    if (residual_converged(bj * std::abs(ritz.back()), theta, tol) ||
+        bj <= 1e-14 * std::max(1.0, std::abs(theta))) {
+      local.converged = true;
+      break;
+    }
+    if (j + 1 >= m_max) {
+      break;
+    }
+    beta.push_back(bj);
+    basis.push_back(w * Complex{1.0 / bj, 0.0});
+  }
+  if (vec_out != nullptr) {
+    CVec x(dim);
+    std::vector<Complex> coeffs;
+    for (const double r : ritz) {
+      coeffs.emplace_back(r, 0.0);
+    }
+    add_combination(coeffs, basis, x);
+    const double nrm = x.norm();
+    // The Ritz combination of an orthonormal basis with a unit coefficient
+    // vector has norm ~1; guard the pathological collapse anyway.
+    *vec_out = (nrm > 1e-12) ? x * Complex{1.0 / nrm, 0.0} : basis.front();
+  }
+  if (stats != nullptr) {
+    *stats = local;
+  }
+  return theta;
+}
+
+}  // namespace
+
+CVec spectral_start_vector(int n) {
+  CVec x(n);
+  for (int i = 0; i < n; ++i) {
+    const double angle = 0.7 * static_cast<double>(i) + 0.3;
+    x[i] = Complex{std::cos(angle), std::sin(angle)};
+  }
+  x.normalize();
+  return x;
+}
+
 std::vector<double> tridiag_top_eigenvector(const std::vector<double>& alpha,
                                             const std::vector<double>& beta,
                                             double theta) {
@@ -243,148 +421,6 @@ std::vector<double> tridiag_top_eigenvector(const std::vector<double>& alpha,
   }
   return y;
 }
-
-/// Power iteration with the residual-augmented stop rule: one operator
-/// application per iteration (iteration k's Rayleigh product is reused as
-/// iteration k+1's image); convergence needs BOTH a small Rayleigh-quotient
-/// delta and a small true residual, so near-degenerate spectra (clustered
-/// top eigenvalues) can no longer trip a spurious early exit.
-double power_iterate(const LinearOperator& op, int max_iters, double tol,
-                     CVec* vec_out, SpectralStats* stats) {
-  SpectralStats local;
-  const int dim = op.dim();
-  if (dim == 0) {
-    local.converged = true;
-    if (vec_out != nullptr) {
-      *vec_out = CVec();
-    }
-    if (stats != nullptr) {
-      *stats = local;
-    }
-    return 0.0;
-  }
-  CVec x = spectral_start_vector(dim);
-  CVec image(dim);
-  op.apply_into(x, image);
-  ++local.matvecs;
-  double lambda = 0.0;
-  for (int it = 0; it < max_iters; ++it) {
-    local.iterations = it + 1;
-    const double norm = image.norm();
-    if (norm < 1e-300) {
-      // The operator annihilates the iterate; spectrum is ~0 on it.
-      local.converged = true;
-      lambda = 0.0;
-      break;
-    }
-    const double inv = 1.0 / norm;
-    for (int i = 0; i < dim; ++i) {
-      x[i] = image[i] * inv;
-    }
-    op.apply_into(x, image);
-    ++local.matvecs;
-    const double next = std::real(x.dot(image));
-    double resid_sq = 0.0;
-    for (int i = 0; i < dim; ++i) {
-      resid_sq += std::norm(image[i] - next * x[i]);
-    }
-    const bool done =
-        std::abs(next - lambda) <= tol * std::max(1.0, next) &&
-        residual_converged(std::sqrt(resid_sq), next, tol);
-    lambda = next;
-    if (done && it > 2) {
-      local.converged = true;
-      break;
-    }
-  }
-  if (vec_out != nullptr) {
-    *vec_out = x;
-  }
-  if (stats != nullptr) {
-    *stats = local;
-  }
-  return lambda;
-}
-
-/// Deterministic Lanczos with full reorthogonalization. Per step: one
-/// operator application, two classical Gram-Schmidt passes against the
-/// whole stored basis (CGS2: each pass takes every coefficient from one
-/// fused reduction, then subtracts them in one fused sweep; always two
-/// passes — no norm-triggered branching, so the instruction stream is
-/// input-independent), then the top Ritz pair of the tridiagonal and the
-/// standard beta * |y_last| residual bound. Breakdown
-/// (beta ~ 0) means the Krylov space is exhausted and the tridiagonal is
-/// exact — rank-deficient and tiny-dimension operators converge that way.
-double lanczos_iterate(const LinearOperator& op, int max_iters, double tol,
-                       CVec* vec_out, SpectralStats* stats) {
-  SpectralStats local;
-  local.used_lanczos = true;
-  const int dim = op.dim();
-  if (dim == 0) {
-    local.converged = true;
-    if (vec_out != nullptr) {
-      *vec_out = CVec();
-    }
-    if (stats != nullptr) {
-      *stats = local;
-    }
-    return 0.0;
-  }
-  std::vector<CVec> basis;
-  basis.push_back(spectral_start_vector(dim));
-  std::vector<double> alpha;
-  std::vector<double> beta;  // beta[j] couples basis[j] and basis[j + 1]
-  std::vector<double> ritz;  // top eigenvector of the current tridiagonal
-  CVec w(dim);
-  const int m_max = std::max(1, std::min({dim, max_iters, kMaxLanczosBasis}));
-  double theta = 0.0;
-  for (int j = 0; j < m_max; ++j) {
-    op.apply_into(basis[static_cast<std::size_t>(j)], w);
-    ++local.matvecs;
-    double aj = 0.0;
-    for (int pass = 0; pass < 2; ++pass) {
-      std::vector<Complex> h = project(basis, w);
-      aj += h[static_cast<std::size_t>(j)].real();
-      for (Complex& c : h) {
-        c = -c;
-      }
-      add_combination(h, basis, w);
-    }
-    alpha.push_back(aj);
-    local.iterations = j + 1;
-    const double bj = w.norm();
-    theta = tridiag_max_eigenvalue(alpha, beta);
-    ritz = tridiag_top_eigenvector(alpha, beta, theta);
-    if (residual_converged(bj * std::abs(ritz.back()), theta, tol) ||
-        bj <= 1e-14 * std::max(1.0, std::abs(theta))) {
-      local.converged = true;
-      break;
-    }
-    if (j + 1 >= m_max) {
-      break;
-    }
-    beta.push_back(bj);
-    basis.push_back(w * Complex{1.0 / bj, 0.0});
-  }
-  if (vec_out != nullptr) {
-    CVec x(dim);
-    std::vector<Complex> coeffs;
-    for (const double r : ritz) {
-      coeffs.emplace_back(r, 0.0);
-    }
-    add_combination(coeffs, basis, x);
-    const double nrm = x.norm();
-    // The Ritz combination of an orthonormal basis with a unit coefficient
-    // vector has norm ~1; guard the pathological collapse anyway.
-    *vec_out = (nrm > 1e-12) ? x * Complex{1.0 / nrm, 0.0} : basis.front();
-  }
-  if (stats != nullptr) {
-    *stats = local;
-  }
-  return theta;
-}
-
-}  // namespace
 
 double tridiag_max_eigenvalue(const std::vector<double>& alpha,
                               const std::vector<double>& beta) {

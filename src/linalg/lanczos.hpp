@@ -6,9 +6,11 @@
 // fixed dispatch level the solver is byte-identical across the kernel-thread
 // axis. Two kinds of work run on the kernel pool: the operator application,
 // thread-count invariant by the LinearOperator backends' own contract, and
-// the reorthogonalization passes, which reduce their coefficients over a
+// the reorthogonalization sweeps, which reduce their coefficients over a
 // fixed element partition in chunk order (sweep/parallel.hpp) and subtract
-// over disjoint element ranges. The start vector, norms and the tridiagonal
+// over disjoint element ranges. CGS2 costs three sweeps over the stored
+// basis per step: project, then subtract-and-reproject fused per chunk,
+// then subtract. The start vector, norms and the tridiagonal
 // bisection/inverse iteration run serially on the calling thread.
 #pragma once
 
@@ -57,11 +59,29 @@ double top_eigenvalue_psd(const LinearOperator& op, const SpectralOptions& opts,
                           CVec* vec_out = nullptr,
                           SpectralStats* stats = nullptr);
 
+/// Deterministic start vector of every iterative spectral routine: equal
+/// superposition with varying phases, so it overlaps any eigenvector with
+/// overwhelming probability. Fixed recipe (no RNG), so solves are
+/// reproducible across runs, threads and shards.
+CVec spectral_start_vector(int n);
+
 /// Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
 /// `alpha` and off-diagonal `beta` (beta.size() == alpha.size() - 1), by
 /// bisection on the Sturm-sequence eigenvalue count inside the Gershgorin
 /// bracket. Deterministic; accurate to ~1e-15 relative.
 double tridiag_max_eigenvalue(const std::vector<double>& alpha,
                               const std::vector<double>& beta);
+
+/// Unit top eigenvector of the same tridiagonal for its (already converged)
+/// top eigenvalue `theta`, by two steps of inverse iteration: the Ritz
+/// coefficients Lanczos combines its basis with. The shifted solve is
+/// Gaussian elimination with partial pivoting on the tridiagonal (LAPACK
+/// dgtsv's pivoting pattern, which fills in a second superdiagonal);
+/// near-singular pivots (expected, theta is an eigenvalue) are replaced by a
+/// tiny scale-relative value, which just boosts the amplification inverse
+/// iteration relies on.
+std::vector<double> tridiag_top_eigenvector(const std::vector<double>& alpha,
+                                            const std::vector<double>& beta,
+                                            double theta);
 
 }  // namespace dqma::linalg

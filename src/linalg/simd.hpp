@@ -29,6 +29,19 @@
 #include "linalg/aligned.hpp"
 #include "linalg/complex_view.hpp"
 
+// The explicit vector variants are compiled as per-function targets so each
+// translation unit itself stays baseline (the binary must boot on any
+// x86-64; only the dispatched calls execute wider instructions). Non-x86
+// builds compile the scalar variants only and detect_best() reports
+// kScalar.
+#if (defined(__x86_64__) || defined(_M_X64)) && defined(__GNUC__)
+#define DQMA_SIMD_X86 1
+#define DQMA_TARGET_AVX2 __attribute__((target("avx2,fma")))
+#define DQMA_TARGET_AVX512 __attribute__((target("avx512f,avx512dq")))
+#else
+#define DQMA_SIMD_X86 0
+#endif
+
 namespace dqma::linalg {
 class CMat;
 }  // namespace dqma::linalg

@@ -8,11 +8,14 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dqma/exact_runner.hpp"
 #include "linalg/eigen.hpp"
+#include "linalg/lanczos.hpp"
 #include "linalg/simd.hpp"
 #include "quantum/density.hpp"
 #include "quantum/local_ops.hpp"
@@ -372,12 +375,14 @@ TEST(ThreadedKernelDeterminismTest, AnalyzerAssemblyAndMatrixFreeMatvec) {
 // ---------------------------------------------------------------------------
 // Byte pins of the matrix-free exact analyzer. The matvec applies each local
 // effect by its closed form (rank-one tests, SWAP as a pairwise average) and
-// the product optimizer uses closed-form expectations and conditionals. At
-// d = 5 no level-specific kernel is on these paths (the optimizer's d x d
-// DenseOperator packs for SIMD only from 8 columns), so one recorded bit
-// pattern per output must hold at every dispatch level and kernel thread
-// count. Inputs avoid libm (uniform draws and sqrt only) except the
-// optimizer's Haar restarts.
+// the product optimizer uses closed-form expectations and conditionals. The
+// rank-one passes are instantiated per dispatch level but compiled without
+// FMA contraction, and the Lanczos solve's reorthogonalization is
+// level-free, so one recorded bit pattern per output must hold at every
+// dispatch level and kernel thread count. The d = 8, r = 3 input runs full
+// 8-lane vectors and the stride-1 fiber path of the rank-one kernel. Inputs
+// avoid libm (uniform draws and sqrt only) except the optimizer's Haar
+// restarts.
 // ---------------------------------------------------------------------------
 
 std::uint64_t double_bits(double x) {
@@ -415,35 +420,66 @@ CVec uniform_state(int dim, Rng& rng) {
 TEST(ExactAnalyzerBytePinTest, MatrixFreeOutputsMatchRecordedBits) {
   using dqma::protocol::ExactEqPathAnalyzer;
   namespace simd = dqma::linalg::simd;
-  const std::uint64_t apply_hash = 0x4288107d82c0e268ULL;
-  const std::uint64_t product_accept = 0x3f75bd821d4185bdULL;
-  const std::uint64_t best_product_accept = 0x3fe96fa39238becaULL;
-  Rng rng(0x5eed);
-  const CVec hx = uniform_state(5, rng);
-  const CVec hy = uniform_state(5, rng);
-  const CVec probe = uniform_state(15625, rng);  // 5^6, r = 4
-  std::vector<CVec> regs;
-  for (int k = 0; k < 6; ++k) {
-    regs.push_back(uniform_state(5, rng));
-  }
-  const ExactEqPathAnalyzer analyzer(hx, hy, 4,
-                                     ExactEqPathAnalyzer::Mode::kMatrixFree);
-  for (const simd::Level level :
-       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
-    if (!simd::is_supported(level)) {
-      continue;
+  struct Pin {
+    int d;
+    int r;
+    std::uint64_t seed;
+    std::uint64_t apply_hash;
+    std::uint64_t product_accept;
+    // Unset where the optimizer's d x d DenseOperator packs for SIMD (from
+    // 8 columns): its Lanczos steps then round per level.
+    std::optional<std::uint64_t> best_product_accept;
+    std::uint64_t worst_case_accept;
+    long long matvecs;
+  };
+  const Pin pins[] = {
+      {5, 4, 0x5eed, 0x4288107d82c0e268ULL, 0x3f75bd821d4185bdULL,
+       0x3fe96fa39238becaULL, 0x3fe9af2ac7f9555cULL, 32},
+      {8, 3, 0x5eed8, 0xe3ebacded13c9664ULL, 0x3fae10c5298fb381ULL,
+       std::nullopt, 0x3fe64a4f500743a6ULL, 25},
+  };
+  for (const Pin& pin : pins) {
+    Rng rng(pin.seed);
+    const CVec hx = uniform_state(pin.d, rng);
+    const CVec hy = uniform_state(pin.d, rng);
+    const ExactEqPathAnalyzer analyzer(hx, hy, pin.r,
+                                       ExactEqPathAnalyzer::Mode::kMatrixFree);
+    const CVec probe = uniform_state(static_cast<int>(analyzer.proof_dim()), rng);
+    std::vector<CVec> regs;
+    for (int k = 0; k < 2 * (pin.r - 1); ++k) {
+      regs.push_back(uniform_state(pin.d, rng));
     }
-    const simd::LevelScope scope(level);
-    for (const int threads : {1, 4}) {
-      const dqma::sweep::KernelThreadScope pool(threads);
-      Rng optimizer(77);
-      EXPECT_EQ(amplitude_hash(analyzer.apply_acceptance(probe)), apply_hash)
-          << simd::level_name(level) << ", threads " << threads;
-      EXPECT_EQ(double_bits(analyzer.product_accept(regs)), product_accept)
-          << simd::level_name(level) << ", threads " << threads;
-      EXPECT_EQ(double_bits(analyzer.best_product_accept(optimizer, 2, 20)),
-                best_product_accept)
-          << simd::level_name(level) << ", threads " << threads;
+    for (const simd::Level level :
+         {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+      if (!simd::is_supported(level)) {
+        continue;
+      }
+      const simd::LevelScope scope(level);
+      for (const int threads : {1, 4}) {
+        const dqma::sweep::KernelThreadScope pool(threads);
+        const std::string where = "d " + std::to_string(pin.d) + ", " +
+                                  simd::level_name(level) + ", threads " +
+                                  std::to_string(threads);
+        Rng optimizer(77);
+        EXPECT_EQ(amplitude_hash(analyzer.apply_acceptance(probe)),
+                  pin.apply_hash)
+            << where;
+        EXPECT_EQ(double_bits(analyzer.product_accept(regs)),
+                  pin.product_accept)
+            << where;
+        if (pin.best_product_accept) {
+          EXPECT_EQ(
+              double_bits(analyzer.best_product_accept(optimizer, 2, 20)),
+              *pin.best_product_accept)
+              << where;
+        }
+        dqma::linalg::SpectralStats stats;
+        EXPECT_EQ(double_bits(analyzer.worst_case_accept(
+                      dqma::linalg::SpectralOptions{}, &stats)),
+                  pin.worst_case_accept)
+            << where;
+        EXPECT_EQ(stats.matvecs, pin.matvecs) << where;
+      }
     }
   }
 }

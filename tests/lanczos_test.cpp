@@ -1,10 +1,13 @@
 // Tests for the deterministic Lanczos eigensolver (linalg/lanczos.hpp):
 // agreement with the dense Jacobi eigh at 1e-9, degenerate/rank-deficient
 // PSD operators, dimension edges, byte-determinism across the kernel-thread
-// axis, matvec-count advantage over power iteration, and the tightened
-// power-iteration stop rule on a gap-1e-12 two-cluster spectrum.
+// axis, matvec-count advantage over power iteration, the tightened
+// power-iteration stop rule on a gap-1e-12 two-cluster spectrum, and bit
+// equality of the fused three-sweep CGS2 with the two-pass loop it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -41,6 +44,108 @@ SpectralOptions options_for(Method method, int max_iters = 4000,
 }
 
 class LanczosTest : public SeededTest {};
+
+// ---------------------------------------------------------------------------
+// Reference: the two-pass CGS2 loop the solver ran before its middle sweeps
+// were fused (project, subtract, project, subtract: four basis sweeps per
+// step). Same element partition and summation order as the solver, written
+// one basis vector at a time; the fused solver must reproduce it bit for bit.
+// ---------------------------------------------------------------------------
+
+/// h[i] = <basis[i] | w>: per-chunk partial dots in element order over the
+/// solver's partition, combined in chunk order.
+std::vector<Complex> reference_project(const std::vector<CVec>& basis,
+                                       const CVec& w) {
+  const std::size_t m = basis.size();
+  return dqma::sweep::parallel_reduce<std::vector<Complex>>(
+      static_cast<std::size_t>(w.dim()), dqma::sweep::grain_for_ops(m),
+      std::vector<Complex>(m),
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<Complex> part(m);
+        for (std::size_t i = 0; i < m; ++i) {
+          double re = 0.0;
+          double im = 0.0;
+          for (std::size_t e = begin; e < end; ++e) {
+            const Complex b = basis[i][static_cast<int>(e)];
+            const Complex x = w[static_cast<int>(e)];
+            re += b.real() * x.real() + b.imag() * x.imag();
+            im += b.real() * x.imag() - b.imag() * x.real();
+          }
+          part[i] = Complex{re, im};
+        }
+        return part;
+      },
+      [](std::vector<Complex> acc, const std::vector<Complex>& part) {
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+          acc[i] += part[i];
+        }
+        return acc;
+      });
+}
+
+/// y += sum_t coeffs[t] * basis[t], each entry summed in ascending t.
+void reference_add(const std::vector<Complex>& coeffs,
+                   const std::vector<CVec>& basis, CVec& y) {
+  for (int e = 0; e < y.dim(); ++e) {
+    double yr = y[e].real();
+    double yi = y[e].imag();
+    for (std::size_t t = 0; t < coeffs.size(); ++t) {
+      const Complex x = basis[t][e];
+      yr += coeffs[t].real() * x.real() - coeffs[t].imag() * x.imag();
+      yi += coeffs[t].real() * x.imag() + coeffs[t].imag() * x.real();
+    }
+    y[e] = Complex{yr, yi};
+  }
+}
+
+double reference_lanczos(const dqma::linalg::LinearOperator& op,
+                         const SpectralOptions& opts, CVec& vec_out,
+                         SpectralStats& stats) {
+  stats = SpectralStats{};
+  stats.used_lanczos = true;
+  const int dim = op.dim();
+  std::vector<CVec> basis{dqma::linalg::spectral_start_vector(dim)};
+  std::vector<double> alpha;
+  std::vector<double> beta;
+  std::vector<double> ritz;
+  CVec w(dim);
+  const int m_max = std::max(
+      1, std::min({dim, opts.max_iters, dqma::linalg::kMaxLanczosBasis}));
+  double theta = 0.0;
+  for (int j = 0; j < m_max; ++j) {
+    op.apply_into(basis[static_cast<std::size_t>(j)], w);
+    ++stats.matvecs;
+    double aj = 0.0;
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<Complex> h = reference_project(basis, w);
+      aj += h[static_cast<std::size_t>(j)].real();
+      for (Complex& c : h) {
+        c = -c;
+      }
+      reference_add(h, basis, w);
+    }
+    alpha.push_back(aj);
+    stats.iterations = j + 1;
+    const double bj = w.norm();
+    theta = dqma::linalg::tridiag_max_eigenvalue(alpha, beta);
+    ritz = dqma::linalg::tridiag_top_eigenvector(alpha, beta, theta);
+    const double scale = std::max(1.0, std::abs(theta));
+    if (bj * std::abs(ritz.back()) <= opts.tol * scale || bj <= 1e-14 * scale) {
+      stats.converged = true;
+      break;
+    }
+    if (j + 1 >= m_max) {
+      break;
+    }
+    beta.push_back(bj);
+    basis.push_back(w * Complex{1.0 / bj, 0.0});
+  }
+  CVec x(dim);
+  reference_add(std::vector<Complex>(ritz.begin(), ritz.end()), basis, x);
+  const double nrm = x.norm();
+  vec_out = (nrm > 1e-12) ? x * Complex{1.0 / nrm, 0.0} : basis.front();
+  return theta;
+}
 
 TEST_F(LanczosTest, MatchesEighOnRandomDensities) {
   for (const int dim : {3, 8, 17, 24, 40}) {
@@ -189,6 +294,68 @@ TEST_F(LanczosTest, ByteDeterminismAcrossKernelThreads) {
             << (use_large ? " (2^14 callback)" : " (dense 64)");
         EXPECT_EQ(matvecs[k], matvecs[0]);
       }
+    }
+  }
+}
+
+TEST_F(LanczosTest, FusedSweepMatchesTwoPassReferenceBitForBit) {
+  // At 40 dims every sweep is one chunk. At 20000 dims the sweeps split into
+  // many chunks from the second basis vector on; a dense operator would
+  // need 6.4 GB there, so that one is diag(u_i) + |a><a| + |b><b| with
+  // seeded uniform u_i, applied serially by a callback.
+  const CMat rho = dqma::quantum::random_density(40, rng());
+  const int n = 20000;
+  std::vector<double> diag(static_cast<std::size_t>(n));
+  for (double& u : diag) {
+    u = rng().next_double();
+  }
+  const CVec a = dqma::quantum::haar_state(n, rng());
+  const CVec b = dqma::quantum::haar_state(n, rng());
+  const CallbackOperator large(
+      [&](const CVec& x) {
+        CVec y = a * a.dot(x) + b * b.dot(x);
+        for (int i = 0; i < n; ++i) {
+          y[i] += x[i] * diag[static_cast<std::size_t>(i)];
+        }
+        return y;
+      },
+      n);
+  const DenseOperator dense(rho);
+  const SpectralOptions opts = options_for(Method::kLanczos);
+  for (const bool use_large : {false, true}) {
+    const dqma::linalg::LinearOperator& op =
+        use_large ? static_cast<const dqma::linalg::LinearOperator&>(large)
+                  : dense;
+    const char* name = use_large ? "diag + rank two, 20000" : "dense 40";
+    CVec ref_vec;
+    SpectralStats ref_stats;
+    const double ref = reference_lanczos(op, opts, ref_vec, ref_stats);
+    EXPECT_TRUE(ref_stats.converged) << name;
+    if (use_large) {
+      EXPECT_GT(dqma::sweep::plan_chunks(
+                    static_cast<std::size_t>(n),
+                    dqma::sweep::grain_for_ops(
+                        static_cast<std::size_t>(ref_stats.iterations)))
+                    .chunks,
+                8u);
+    }
+    for (const int threads : {1, 4}) {
+      const dqma::sweep::KernelThreadScope thread_scope(threads);
+      CVec vec;
+      SpectralStats stats;
+      const double theta = top_eigenvalue_psd(op, opts, &vec, &stats);
+      EXPECT_EQ(std::memcmp(&theta, &ref, sizeof(double)), 0)
+          << name << ", threads " << threads;
+      ASSERT_EQ(vec.dim(), ref_vec.dim());
+      EXPECT_EQ(std::memcmp(&vec[0], &ref_vec[0],
+                            static_cast<std::size_t>(vec.dim()) *
+                                sizeof(Complex)),
+                0)
+          << name << ", threads " << threads;
+      EXPECT_EQ(stats.matvecs, ref_stats.matvecs) << name;
+      EXPECT_EQ(stats.iterations, ref_stats.iterations) << name;
+      EXPECT_EQ(stats.converged, ref_stats.converged) << name;
+      EXPECT_EQ(stats.used_lanczos, ref_stats.used_lanczos) << name;
     }
   }
 }
