@@ -16,7 +16,6 @@ void register_all_experiments() {
     register_exp_topology();
     register_coordinator_recovery();
     register_micro();
-    register_serve_throughput();
     return true;
   }();
   (void)registered;

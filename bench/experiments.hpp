@@ -12,7 +12,6 @@ void register_coordinator_recovery();
 void register_exp_topology();
 void register_micro();
 void register_robustness();
-void register_serve_throughput();
 void register_table1_fgnp();
 void register_table2_eq();
 void register_table2_gt_rv();

@@ -390,8 +390,8 @@ CVec ExactEqPathAnalyzer::apply_acceptance(const CVec& psi) const {
     return op_ * psi;
   }
   CVec out(static_cast<int>(proof_dim_));
-  CVec scratch;
-  apply_matrix_free(psi, out, scratch);
+  linalg::WorkspaceVec scratch(out.dim());
+  apply_matrix_free(psi, out, *scratch);
   return out;
 }
 
@@ -402,9 +402,6 @@ void ExactEqPathAnalyzer::apply_matrix_free(const CVec& psi, CVec& out,
   // form. The first test reads psi into the scratch, the swap tests work in
   // place, and the final measurement accumulates into out, pre-scaled by
   // 1/patterns (a power of two, so the scaling is exact).
-  if (scratch.dim() != out.dim()) {
-    scratch = CVec(out.dim());
-  }
   Complex* acc = linalg::MutComplexView(out).aos_data();
   std::fill(acc, acc + out.dim(), Complex{0.0, 0.0});
   const Complex* in = linalg::ConstComplexView(psi).aos_data();
@@ -420,14 +417,16 @@ void ExactEqPathAnalyzer::apply_matrix_free(const CVec& psi, CVec& out,
 }
 
 /// The matrix-free action as a LinearOperator for one solve: apply_into
-/// writes the caller's vector and reuses the operator's own scratch, so a
-/// Lanczos step allocates nothing. Like DenseOperator, one instance must not
-/// be applied from two threads at once; the analyzer itself stays immutable.
+/// writes the caller's vector and reuses one scratch borrowed from the
+/// thread's spectral workspace, so a Lanczos step allocates nothing. Like
+/// DenseOperator, one instance must not be applied from two threads at
+/// once; the analyzer itself stays immutable.
 class ExactEqPathAnalyzer::MatrixFreeOperator final
     : public linalg::LinearOperator {
  public:
   explicit MatrixFreeOperator(const ExactEqPathAnalyzer& analyzer)
-      : analyzer_(analyzer) {}
+      : analyzer_(analyzer),
+        scratch_(static_cast<int>(analyzer.proof_dim_)) {}
 
   int dim() const override {
     return static_cast<int>(analyzer_.proof_dim_);
@@ -445,12 +444,12 @@ class ExactEqPathAnalyzer::MatrixFreeOperator final
     if (out.dim() != dim()) {
       out = CVec(dim());
     }
-    analyzer_.apply_matrix_free(x, out, scratch_);
+    analyzer_.apply_matrix_free(x, out, *scratch_);
   }
 
  private:
   const ExactEqPathAnalyzer& analyzer_;
-  mutable CVec scratch_;
+  mutable linalg::WorkspaceVec scratch_;
 };
 
 double ExactEqPathAnalyzer::worst_case_accept(int max_iters) const {

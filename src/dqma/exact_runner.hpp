@@ -29,7 +29,8 @@
 //     as the average of psi[..i..j..] and psi[..j..i..]), so a matvec costs
 //     O(patterns * r * D). worst_case_accept runs Lanczos on that action
 //     through a per-solve operator that writes into the solver's vector and
-//     reuses one scratch, so no matvec allocates; the product-prover
+//     reuses one scratch from the thread's spectral workspace
+//     (linalg/lanczos.hpp), so no matvec allocates; the product-prover
 //     optimizer uses closed-form expectations (O(d)) and conditional blocks
 //     (O(d^2)), and takes top eigenvectors by Lanczos.
 // kAuto picks kDense up to kMaxDenseProofDim and kMatrixFree beyond.
@@ -88,7 +89,8 @@ class ExactEqPathAnalyzer {
   long long proof_dim() const { return proof_dim_; }
 
   /// O |psi>: dense matvec when materialized, otherwise the matrix-free
-  /// pattern-streamed application.
+  /// pattern-streamed application, whose scratch is borrowed from the
+  /// thread's spectral workspace (only the returned vector is allocated).
   CVec apply_acceptance(const CVec& psi) const;
 
   /// max over all (entangled) proofs of Pr[accept]. Top eigenvalue of the
@@ -155,12 +157,13 @@ class ExactEqPathAnalyzer {
   std::vector<quantum::LocalOpPlan> plans_;
 
   /// Per-solve LinearOperator over the matrix-free action (defined in the
-  /// .cpp): it owns one scratch vector, so Lanczos matvecs allocate nothing.
+  /// .cpp): it borrows one scratch vector from the spectral workspace, so
+  /// Lanczos matvecs allocate nothing.
   class MatrixFreeOperator;
 
-  /// out <- O psi by the closed-form passes; zero-fills out (sized by the
-  /// caller to proof_dim(), not aliasing psi) and uses scratch (resized if
-  /// needed) as the pattern workspace.
+  /// out <- O psi by the closed-form passes; zero-fills out and uses
+  /// scratch as the pattern workspace (both sized by the caller to
+  /// proof_dim(), neither aliasing psi; scratch's contents are ignored).
   void apply_matrix_free(const CVec& psi, CVec& out, CVec& scratch) const;
   const CMat& effect_matrix(EffectKind kind) const;
   /// Closed-form <w| effect |w> for the group's product state.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "linalg/complex_view.hpp"
@@ -28,12 +29,39 @@ bool residual_converged(double resid, double theta, double tol) {
 /// independent dependency chains.
 constexpr std::size_t kGroup = 4;
 
+/// Vectors smaller than a page bypass the pool: the allocator serves them
+/// without page faults, and lending them a large idle vector would only
+/// shrink it for the next large solve to zero-fill again.
+constexpr std::size_t kPooledMinBytes = 4096;
+
+/// The calling thread's pool behind WorkspaceVec.
+struct Workspace {
+  std::vector<CVec> idle;
+  WorkspaceBytes bytes;
+};
+
+Workspace& thread_workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
+/// Fills x (already sized) with spectral_start_vector's recipe.
+void fill_start_vector(CVec& x) {
+  for (int i = 0; i < x.dim(); ++i) {
+    const double angle = 0.7 * static_cast<double>(i) + 0.3;
+    x[i] = Complex{std::cos(angle), std::sin(angle)};
+  }
+  x.normalize();
+}
+
+using Basis = std::vector<WorkspaceVec>;
+
 /// Raw element pointers of basis[0 .. count).
-std::vector<const Complex*> element_pointers(const std::vector<CVec>& basis,
+std::vector<const Complex*> element_pointers(const Basis& basis,
                                              std::size_t count) {
   std::vector<const Complex*> ptrs;
   for (std::size_t i = 0; i < count; ++i) {
-    ptrs.push_back(ConstComplexView(basis[i]).aos_data());
+    ptrs.push_back(ConstComplexView(*basis[i]).aos_data());
   }
   return ptrs;
 }
@@ -119,7 +147,7 @@ std::vector<Complex> add_partials(std::vector<Complex> acc,
 /// per-chunk partial dots over a fixed element partition, combined in chunk
 /// order (sweep/parallel.hpp), so the coefficients are identical at any
 /// kernel thread count.
-std::vector<Complex> project(const std::vector<CVec>& basis, const CVec& w) {
+std::vector<Complex> project(const Basis& basis, const CVec& w) {
   const std::size_t m = basis.size();
   const std::vector<const Complex*> b = element_pointers(basis, m);
   const Complex* wp = ConstComplexView(w).aos_data();
@@ -140,8 +168,7 @@ std::vector<Complex> project(const std::vector<CVec>& basis, const CVec& w) {
 /// each element's update is independent of the partition, so the result is
 /// bit-identical to add_combination followed by project.
 std::vector<Complex> combine_then_project(const std::vector<Complex>& coeffs,
-                                          const std::vector<CVec>& basis,
-                                          CVec& w) {
+                                          const Basis& basis, CVec& w) {
   const std::size_t m = basis.size();
   const std::vector<const Complex*> b = element_pointers(basis, m);
   Complex* wp = MutComplexView(w).aos_data();
@@ -159,8 +186,8 @@ std::vector<Complex> combine_then_project(const std::vector<Complex>& coeffs,
 
 /// y += sum_i coeffs[i] * basis[i], every entry summed in ascending i. Chunks
 /// own disjoint element ranges, so the result is thread-count invariant.
-void add_combination(const std::vector<Complex>& coeffs,
-                     const std::vector<CVec>& basis, CVec& y) {
+void add_combination(const std::vector<Complex>& coeffs, const Basis& basis,
+                     CVec& y) {
   const std::vector<const Complex*> x = element_pointers(basis, coeffs.size());
   Complex* yp = MutComplexView(y).aos_data();
   sweep::parallel_for(static_cast<std::size_t>(y.dim()),
@@ -282,16 +309,20 @@ double lanczos_iterate(const LinearOperator& op, int max_iters, double tol,
     }
     return 0.0;
   }
-  std::vector<CVec> basis;
-  basis.push_back(spectral_start_vector(dim));
+  const int m_max = std::max(1, std::min({dim, max_iters, kMaxLanczosBasis}));
+  // Basis vectors and w are borrowed from the thread's workspace.
+  Basis basis;
+  basis.reserve(static_cast<std::size_t>(m_max));
+  basis.emplace_back(dim);
+  fill_start_vector(*basis.front());
   std::vector<double> alpha;
   std::vector<double> beta;  // beta[j] couples basis[j] and basis[j + 1]
   std::vector<double> ritz;  // top eigenvector of the current tridiagonal
-  CVec w(dim);
-  const int m_max = std::max(1, std::min({dim, max_iters, kMaxLanczosBasis}));
+  WorkspaceVec w_loan(dim);
+  CVec& w = *w_loan;
   double theta = 0.0;
   for (int j = 0; j < m_max; ++j) {
-    op.apply_into(basis[static_cast<std::size_t>(j)], w);
+    op.apply_into(*basis[static_cast<std::size_t>(j)], w);
     ++local.matvecs;
     // CGS2 in three sweeps: project; subtract and re-project; subtract.
     std::vector<Complex> h = project(basis, w);
@@ -316,7 +347,10 @@ double lanczos_iterate(const LinearOperator& op, int max_iters, double tol,
       break;
     }
     beta.push_back(bj);
-    basis.push_back(w * Complex{1.0 / bj, 0.0});
+    // The normalized w becomes the next basis vector; w takes a fresh loan.
+    w *= Complex{1.0 / bj, 0.0};
+    basis.emplace_back(dim);
+    std::swap(*basis.back(), w);
   }
   if (vec_out != nullptr) {
     CVec x(dim);
@@ -328,7 +362,7 @@ double lanczos_iterate(const LinearOperator& op, int max_iters, double tol,
     const double nrm = x.norm();
     // The Ritz combination of an orthonormal basis with a unit coefficient
     // vector has norm ~1; guard the pathological collapse anyway.
-    *vec_out = (nrm > 1e-12) ? x * Complex{1.0 / nrm, 0.0} : basis.front();
+    *vec_out = (nrm > 1e-12) ? x * Complex{1.0 / nrm, 0.0} : *basis.front();
   }
   if (stats != nullptr) {
     *stats = local;
@@ -338,13 +372,66 @@ double lanczos_iterate(const LinearOperator& op, int max_iters, double tol,
 
 }  // namespace
 
+WorkspaceVec::WorkspaceVec(int dim)
+    : charge_(static_cast<std::size_t>(std::max(dim, 0)) * sizeof(Complex)) {
+  Workspace& ws = thread_workspace();
+  std::vector<CVec>& idle = ws.idle;
+  std::size_t fit = idle.size();
+  std::size_t largest = idle.size();
+  for (std::size_t i = 0; charge_ >= kPooledMinBytes && i < idle.size(); ++i) {
+    const std::size_t cap = idle[i].capacity_bytes();
+    if (cap >= charge_ &&
+        (fit == idle.size() || cap < idle[fit].capacity_bytes())) {
+      fit = i;
+    }
+    if (largest == idle.size() || cap > idle[largest].capacity_bytes()) {
+      largest = i;
+    }
+  }
+  const std::size_t pick = fit < idle.size() ? fit : largest;
+  if (pick < idle.size()) {
+    ws.bytes.retained -= idle[pick].capacity_bytes();
+    if (pick == fit) {
+      v_ = std::move(idle[pick]);
+    }
+    // Otherwise nothing idle is large enough: the largest idle vector is
+    // freed here, so the new allocation below replaces it instead of
+    // adding to it.
+    if (pick + 1 != idle.size()) {
+      std::swap(idle[pick], idle.back());
+    }
+    idle.pop_back();
+  }
+  v_.resize(dim);
+  ws.bytes.on_loan += charge_;
+  ws.bytes.high_water = std::max(ws.bytes.high_water, ws.bytes.on_loan);
+}
+
+WorkspaceVec::WorkspaceVec(WorkspaceVec&& other) noexcept
+    : v_(std::move(other.v_)), charge_(other.charge_) {
+  other.charge_ = 0;
+}
+
+WorkspaceVec::~WorkspaceVec() {
+  Workspace& ws = thread_workspace();
+  ws.bytes.on_loan -= std::min(charge_, ws.bytes.on_loan);
+  const std::size_t cap = v_.capacity_bytes();
+  if (cap < kPooledMinBytes || ws.bytes.retained + cap > ws.bytes.high_water) {
+    return;  // below a page, moved from, or over the cap: v_ is freed
+  }
+  try {
+    ws.idle.push_back(std::move(v_));
+    ws.bytes.retained += cap;
+  } catch (...) {
+    // No memory to grow the idle list: v_ is freed instead.
+  }
+}
+
+WorkspaceBytes workspace_bytes() { return thread_workspace().bytes; }
+
 CVec spectral_start_vector(int n) {
   CVec x(n);
-  for (int i = 0; i < n; ++i) {
-    const double angle = 0.7 * static_cast<double>(i) + 0.3;
-    x[i] = Complex{std::cos(angle), std::sin(angle)};
-  }
-  x.normalize();
+  fill_start_vector(x);
   return x;
 }
 

@@ -12,8 +12,22 @@
 // basis per step: project, then subtract-and-reproject fused per chunk,
 // then subtract. The start vector, norms and the tridiagonal
 // bisection/inverse iteration run serially on the calling thread.
+//
+// Spectral workspace. A Lanczos solve at D = 2^16 stores ~27 basis vectors
+// of 1 MiB; allocated fresh, each one costs its first-touch page faults on
+// every solve. The solver (and the matrix-free operators' scratch) instead
+// borrows vectors from a pool owned by the calling thread and returns them
+// when the solve ends. A borrowed vector is resized within its storage, so
+// a smaller solve reuses a larger solve's pages instead of adding its own.
+// Retention rule: the bytes a thread's pool keeps idle never exceed the
+// largest footprint (bytes on loan at once) that thread has needed; a
+// returned vector that would break the cap is freed. So a thread never
+// keeps idle more than it once needed at the same time, a solve that fits
+// in the idle vectors allocates nothing, and which buffer a solve gets
+// changes no arithmetic: outputs are byte-identical either way.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "linalg/eigen.hpp"
@@ -29,6 +43,42 @@ struct SpectralStats {
   bool converged = false;
   bool used_lanczos = false;
 };
+
+/// A vector on loan from the calling thread's spectral workspace, returned
+/// by the destructor. Borrow and return on the same thread (a solve's
+/// locals do).
+class WorkspaceVec {
+ public:
+  /// Borrows a vector of `dim` entries with unspecified contents: callers
+  /// overwrite or zero it. The idle vector with the smallest storage that
+  /// holds `dim` entries is taken; if none does, the largest idle one is
+  /// freed and a vector of exactly `dim` entries allocated. Vectors under
+  /// a page are allocated fresh and freed on return (counted as on loan,
+  /// never kept idle).
+  explicit WorkspaceVec(int dim);
+  ~WorkspaceVec();
+  WorkspaceVec(WorkspaceVec&& other) noexcept;
+  WorkspaceVec(const WorkspaceVec&) = delete;
+  WorkspaceVec& operator=(const WorkspaceVec&) = delete;
+  WorkspaceVec& operator=(WorkspaceVec&&) = delete;
+
+  CVec& operator*() { return v_; }
+  const CVec& operator*() const { return v_; }
+  CVec* operator->() { return &v_; }
+  const CVec* operator->() const { return &v_; }
+
+ private:
+  CVec v_;
+  std::size_t charge_ = 0;  ///< bytes counted as on loan; 0 once moved from
+};
+
+/// The calling thread's spectral-workspace accounting.
+struct WorkspaceBytes {
+  std::size_t retained = 0;    ///< storage of idle vectors kept for reuse
+  std::size_t on_loan = 0;     ///< dim * sizeof(Complex) of borrowed vectors
+  std::size_t high_water = 0;  ///< largest on_loan so far: the retention cap
+};
+WorkspaceBytes workspace_bytes();
 
 /// Solver selection and stopping thresholds for top_eigenvalue_psd.
 struct SpectralOptions {

@@ -15,6 +15,11 @@ CVec::CVec(int dim) {
   a_.assign(static_cast<std::size_t>(dim), Complex{0.0, 0.0});
 }
 
+void CVec::resize(int dim) {
+  require(dim >= 0, "CVec::resize: dimension must be non-negative");
+  a_.resize(static_cast<std::size_t>(dim), Complex{0.0, 0.0});
+}
+
 CVec::CVec(std::vector<Complex> amplitudes)
     : a_(amplitudes.begin(), amplitudes.end()) {}
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <vector>
 
 #include "linalg/aligned.hpp"
@@ -31,6 +32,13 @@ class CVec {
   static CVec basis(int dim, int index);
 
   int dim() const { return static_cast<int>(a_.size()); }
+
+  /// Sets the dimension, keeping the storage when `dim` fits its capacity:
+  /// entries below min(old, new) dim keep their values, new ones are zero.
+  void resize(int dim);
+
+  /// Bytes of storage held, which can exceed dim() entries after a shrink.
+  std::size_t capacity_bytes() const { return a_.capacity() * sizeof(Complex); }
 
   Complex& operator[](int i) { return a_[static_cast<std::size_t>(i)]; }
   const Complex& operator[](int i) const {

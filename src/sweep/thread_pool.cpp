@@ -2,10 +2,41 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace dqma::sweep {
 
 namespace {
 thread_local int t_batch_depth = 0;
+
+/// Tells the core this is a spin-wait loop (x86 `pause`): saves power and
+/// leaves the sibling hyperthread the pipeline.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spins until `ready()` holds or ThreadPool::kSpinWindow has elapsed;
+/// returns ready()'s last value. The clock is read every few pauses only.
+template <typename Ready>
+bool spin_until(const Ready& ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + ThreadPool::kSpinWindow;
+  for (unsigned i = 1;; ++i) {
+    if (ready()) {
+      return true;
+    }
+    cpu_relax();
+    if (i % 32 == 0 && std::chrono::steady_clock::now() >= deadline) {
+      return ready();
+    }
+  }
+}
 }  // namespace
 
 ThreadPool::BatchMark::BatchMark() { ++t_batch_depth; }
@@ -25,18 +56,19 @@ ThreadPool::ThreadPool(int threads) {
 }
 
 ThreadPool::~ThreadPool() {
+  stop_.store(true);
   {
+    // Spinning workers see stop_ directly; a worker between its parking
+    // check and its wait holds mutex_, so it is asleep before this notify.
     std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
+    batch_ready_.notify_all();
   }
-  batch_ready_.notify_all();
   for (auto& worker : workers_) {
     worker.join();
   }
 }
 
-void ThreadPool::run_inline(std::size_t count,
-                            const std::function<void(std::size_t)>& job) {
+void ThreadPool::run_inline(std::size_t count, const Job& job) {
   const BatchMark mark;
   std::exception_ptr error;
   for (std::size_t i = 0; i < count; ++i) {
@@ -53,8 +85,7 @@ void ThreadPool::run_inline(std::size_t count,
   }
 }
 
-void ThreadPool::run_indexed(std::size_t count,
-                             const std::function<void(std::size_t)>& job) {
+void ThreadPool::run_indexed(std::size_t count, const Job& job) {
   if (count == 0) {
     return;
   }
@@ -72,25 +103,32 @@ void ThreadPool::run_indexed(std::size_t count,
     run_inline(count, job);
     return;
   }
-  {
+  // Publish. No worker is attached here (the previous batch drained), so
+  // the plain writes are ordered before any worker's reads by the
+  // batch_job_ store.
+  batch_count_.store(count);
+  next_index_.store(0);
+  failed_.store(false);
+  first_error_ = nullptr;
+  batch_job_.store(&job);
+  generation_.fetch_add(1);
+  if (parked_workers_.load() > 0) {
     std::lock_guard<std::mutex> lock(mutex_);
-    batch_job_ = &job;
-    batch_count_ = count;
-    completed_ = 0;
-    first_error_ = nullptr;
-    next_index_.store(0, std::memory_order_relaxed);
-    ++generation_;
+    batch_ready_.notify_all();
   }
-  batch_ready_.notify_all();
-  const std::size_t done_here = claim_and_run(job, count);  // the owner works too
-  std::unique_lock<std::mutex> lock(mutex_);
-  completed_ += done_here;
-  batch_done_.wait(lock, [this] {
-    return completed_ == batch_count_ && attached_ == 0;
-  });
-  batch_job_ = nullptr;
-  if (first_error_) {
-    std::exception_ptr error = first_error_;
+  claim_and_run(job, count);  // the owner works too
+
+  // Close, then wait for the attached workers to finish their last jobs.
+  batch_job_.store(nullptr);
+  const auto drained = [this] { return attached_.load() == 0; };
+  if (!spin_until(drained)) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    owner_parked_.store(true);
+    batch_done_.wait(lock, drained);
+    owner_parked_.store(false);
+  }
+  if (failed_.load()) {
+    std::exception_ptr error = std::move(first_error_);
     first_error_ = nullptr;
     std::rethrow_exception(error);
   }
@@ -99,40 +137,37 @@ void ThreadPool::run_indexed(std::size_t count,
 void ThreadPool::worker_loop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
-    const std::function<void(std::size_t)>* job = nullptr;
-    std::size_t count = 0;
-    {
+    const auto woken = [this, &seen_generation] {
+      return stop_.load() || generation_.load() != seen_generation;
+    };
+    if (!spin_until(woken)) {
       std::unique_lock<std::mutex> lock(mutex_);
-      batch_ready_.wait(lock, [this, seen_generation] {
-        return stop_ || generation_ != seen_generation;
-      });
-      if (stop_) {
-        return;
-      }
-      seen_generation = generation_;
-      if (batch_job_ == nullptr) {
-        continue;  // woke after the batch already drained
-      }
-      job = batch_job_;
-      count = batch_count_;
-      ++attached_;
+      parked_workers_.fetch_add(1);
+      batch_ready_.wait(lock, woken);
+      parked_workers_.fetch_sub(1);
     }
-    const std::size_t done_here = claim_and_run(*job, count);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --attached_;
-      completed_ += done_here;
-      if (completed_ == batch_count_ && attached_ == 0) {
-        batch_done_.notify_all();
-      }
+    if (stop_.load()) {
+      return;
     }
+    seen_generation = generation_.load();
+    attached_.fetch_add(1);
+    const Job* job = batch_job_.load();
+    if (job != nullptr) {
+      claim_and_run(*job, batch_count_.load());
+    }
+    detach();
   }
 }
 
-std::size_t ThreadPool::claim_and_run(
-    const std::function<void(std::size_t)>& job, std::size_t count) {
+void ThreadPool::detach() {
+  if (attached_.fetch_sub(1) == 1 && owner_parked_.load()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    batch_done_.notify_one();
+  }
+}
+
+void ThreadPool::claim_and_run(const Job& job, std::size_t count) {
   const BatchMark mark;
-  std::size_t done = 0;
   for (;;) {
     const std::size_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
     if (i >= count) {
@@ -141,14 +176,11 @@ std::size_t ThreadPool::claim_and_run(
     try {
       job(i);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) {
+      if (!failed_.exchange(true)) {
         first_error_ = std::current_exception();
       }
     }
-    ++done;
   }
-  return done;
 }
 
 }  // namespace dqma::sweep

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "dqma/exact_runner.hpp"
@@ -420,6 +421,76 @@ TEST_F(LanczosTest, PowerResidualRuleHandlesTwoClusterSpectrum) {
   EXPECT_NEAR(via_lanczos, 1.0, 1e-9);
   EXPECT_LT(lanczos_stats.matvecs, 100);
   EXPECT_LT(10 * lanczos_stats.matvecs, power_stats.matvecs);
+}
+
+TEST_F(LanczosTest, WorkspaceReuseIsBitIdenticalAndCapped) {
+  // A large solve, a smaller one (reusing the large one's vectors resized
+  // within their storage), the product optimizer's 16-dim shape, then the
+  // large one again on warm vectors. Every solve must match the same solve
+  // on a fresh thread (empty workspace) bit for bit, and the warm thread's
+  // idle bytes must stay within the largest footprint it needed.
+  const CMat large = dqma::quantum::random_density(300, rng());
+  const CMat smaller = dqma::quantum::random_density(120, rng());
+  const CMat product_shape = dqma::quantum::random_density(16, rng());
+  const std::vector<const CMat*> sequence = {&large, &smaller, &product_shape,
+                                             &large};
+  const SpectralOptions opts = options_for(Method::kLanczos);
+  const SpectralOptions product_opts = options_for(Method::kLanczos, 2000, 1e-13);
+
+  struct Solve {
+    double theta = 0.0;
+    CVec vec;
+    SpectralStats stats;
+    dqma::linalg::WorkspaceBytes bytes;  // after the solve
+  };
+  const auto solve = [&](const CMat& m) {
+    const DenseOperator op(m);
+    Solve out;
+    out.theta = top_eigenvalue_psd(op, m.rows() == 16 ? product_opts : opts,
+                                   &out.vec, &out.stats);
+    out.bytes = dqma::linalg::workspace_bytes();
+    return out;
+  };
+
+  std::vector<Solve> warm;
+  std::thread([&] {
+    for (const CMat* m : sequence) {
+      warm.push_back(solve(*m));
+    }
+  }).join();
+
+  std::size_t footprint = 0;
+  for (std::size_t k = 0; k < sequence.size(); ++k) {
+    Solve cold;
+    std::thread([&] { cold = solve(*sequence[k]); }).join();
+    const Solve& w = warm[k];
+    const int dim = sequence[k]->rows();
+    EXPECT_EQ(std::memcmp(&w.theta, &cold.theta, sizeof(double)), 0)
+        << "solve " << k;
+    ASSERT_EQ(w.vec.dim(), dim);
+    ASSERT_EQ(cold.vec.dim(), dim);
+    EXPECT_EQ(std::memcmp(&w.vec[0], &cold.vec[0],
+                          static_cast<std::size_t>(dim) * sizeof(Complex)),
+              0)
+        << "solve " << k;
+    EXPECT_EQ(w.stats.matvecs, cold.stats.matvecs) << "solve " << k;
+    EXPECT_EQ(w.stats.iterations, cold.stats.iterations) << "solve " << k;
+    EXPECT_EQ(w.stats.converged, cold.stats.converged) << "solve " << k;
+    EXPECT_EQ(w.stats.used_lanczos, cold.stats.used_lanczos) << "solve " << k;
+    EXPECT_TRUE(w.stats.converged) << "solve " << k;
+
+    // A solve borrows its basis (one vector per iteration) plus w, and
+    // returns all of them: the thread's high water is the largest such
+    // footprint so far, and the idle bytes never exceed it.
+    const std::size_t need = static_cast<std::size_t>(w.stats.iterations + 1) *
+                             static_cast<std::size_t>(dim) * sizeof(Complex);
+    footprint = std::max(footprint, need);
+    EXPECT_EQ(cold.bytes.high_water, need) << "solve " << k;
+    EXPECT_EQ(w.bytes.high_water, footprint) << "solve " << k;
+    EXPECT_LE(w.bytes.retained, footprint) << "solve " << k;
+    EXPECT_GT(w.bytes.retained, 0u) << "solve " << k;
+    EXPECT_EQ(w.bytes.on_loan, 0u) << "solve " << k;
+  }
 }
 
 TEST_F(LanczosTest, ApplyIntoReusesStorageAndMatchesApply) {

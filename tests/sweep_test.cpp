@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sweep/json.hpp"
@@ -155,6 +159,91 @@ TEST(ThreadPoolTest, ReentrantExceptionsFollowTheBatchContract) {
   EXPECT_EQ(ran.load(), 6);
 }
 
+// Longer than ThreadPool::kSpinWindow, so idle workers (and a waiting
+// owner) have parked before the next batch arrives.
+constexpr auto kPastSpinWindow = 4 * ThreadPool::kSpinWindow;
+
+TEST(ThreadPoolTest, BackToBackTinyBatchesTakeTheSpinPath) {
+  // Batches far shorter than the spin window, back to back: workers never
+  // park between them. Every batch must still run each job exactly once
+  // and return only after all of them finished.
+  ThreadPool pool(4);
+  std::vector<int> hits(4, 0);
+  for (int batch = 0; batch < 10000; ++batch) {
+    pool.run_indexed(4, [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], batch + 1) << "batch " << batch << ", job " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, BatchesAfterIdleGapsWakeParkedWorkers) {
+  // Each batch follows a sleep longer than the spin window, so it is
+  // published to parked workers. The jobs sleep too, so the owner cannot
+  // drain a batch before a woken worker claims a job: across the batches
+  // more than one thread must have run jobs.
+  ThreadPool pool(4);
+  std::mutex mutex;
+  std::set<std::thread::id> runners;
+  for (int batch = 0; batch < 10; ++batch) {
+    std::this_thread::sleep_for(kPastSpinWindow);
+    std::vector<std::atomic<int>> hits(8);
+    pool.run_indexed(hits.size(), [&](std::size_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      hits[i].fetch_add(1);
+      const std::lock_guard<std::mutex> lock(mutex);
+      runners.insert(std::this_thread::get_id());
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "batch " << batch << ", job " << i;
+    }
+  }
+  EXPECT_GT(runners.size(), 1u);
+}
+
+TEST(ThreadPoolTest, JobExceptionsPropagateOnSpinAndParkPaths) {
+  ThreadPool pool(4);
+  for (const bool park : {false, true}) {
+    for (int round = 0; round < 50; ++round) {
+      if (park) {
+        std::this_thread::sleep_for(kPastSpinWindow);
+      }
+      // Every job throws, so workers and the owner all record failures;
+      // exactly one exception reaches the caller, after every job ran.
+      std::atomic<int> ran{0};
+      EXPECT_THROW(pool.run_indexed(16,
+                                    [&](std::size_t) {
+                                      ran.fetch_add(1);
+                                      throw std::runtime_error("boom");
+                                    }),
+                   std::runtime_error)
+          << (park ? "park" : "spin") << " round " << round;
+      EXPECT_EQ(ran.load(), 16);
+      // The next batch must not inherit the failure.
+      std::atomic<int> ok{0};
+      pool.run_indexed(16, [&](std::size_t) { ok.fetch_add(1); });
+      EXPECT_EQ(ok.load(), 16);
+    }
+  }
+}
+
+TEST(ThreadPoolTest, DestroyingASpinningPoolJoinsPromptly) {
+  // Right after a batch every worker is inside its spin window; the
+  // destructor must stop them without waiting for a batch that never
+  // comes. Bounded generously: a lost wake-up would hang, not run late.
+  for (int round = 0; round < 100; ++round) {
+    auto pool = std::make_unique<ThreadPool>(4);
+    std::atomic<int> ran{0};
+    pool->run_indexed(8, [&](std::size_t) { ran.fetch_add(1); });
+    ASSERT_EQ(ran.load(), 8);
+    const auto start = std::chrono::steady_clock::now();
+    pool.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5))
+        << "round " << round;
+  }
+}
+
 TEST(ParallelForTest, ChunkBoundariesDependOnlyOnProblemSize) {
   using dqma::sweep::plan_chunks;
   // The determinism contract: the partition is a pure function of
@@ -202,6 +291,27 @@ TEST(ParallelForTest, PropagatesChunkExceptions) {
     ok.fetch_add(static_cast<int>(end - begin));
   });
   EXPECT_EQ(ok.load(), 64);
+}
+
+TEST(ParallelForTest, RegionsCoverTheirRangeBackToBackAndAfterIdleGaps) {
+  // The kernel pool's two hand-offs: regions issued back to back (workers
+  // spinning) and regions after idle gaps (workers parked).
+  const dqma::sweep::KernelThreadScope scope(4);
+  std::vector<int> hits(64, 0);
+  for (int region = 0; region < 2000; ++region) {
+    if (region % 100 == 0) {
+      std::this_thread::sleep_for(kPastSpinWindow);
+    }
+    dqma::sweep::parallel_for(hits.size(), 1,
+                              [&](std::size_t begin, std::size_t end) {
+                                for (std::size_t i = begin; i < end; ++i) {
+                                  ++hits[i];
+                                }
+                              });
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 2000) << "index " << i;
+  }
 }
 
 TEST(ParallelForTest, NestedRegionsRunSeriallyWithoutDeadlock) {
