@@ -8,7 +8,6 @@
 namespace dqma::bench {
 
 void register_ablations();
-void register_coordinator_recovery();
 void register_exp_topology();
 void register_micro();
 void register_robustness();

@@ -7,7 +7,7 @@
 // space. Every generated topology is a pure function of its 64-bit seed:
 // the same (spec, seed) pair reproduces the identical graph, terminal set,
 // and per-link noise rates on every platform, which is what lets the sweep
-// engine shard and coordinate scenario sweeps with the same byte-identity
+// engine shard and resume scenario sweeps with the same byte-identity
 // guarantees as every other experiment.
 #pragma once
 

@@ -15,18 +15,11 @@
 #include <string>
 #include <system_error>
 
-#include <random>
-
 #include "linalg/simd.hpp"
-#include "sweep/coordinator.hpp"
 #include "sweep/trajectory.hpp"
 #include "util/require.hpp"
 #include "util/scratch.hpp"
 #include "util/table.hpp"
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 namespace dqma::sweep {
 namespace {
@@ -67,13 +60,49 @@ ExperimentContext::ExperimentContext(const Experiment& experiment,
       out_(out),
       smoke_(smoke),
       base_seed_(util::derive_seed(global_seed, fnv1a64(experiment.name))),
-      controls_(controls) {}
+      controls_(controls != nullptr ? *controls : RunControls{}) {}
+
+ExperimentContext::Claim ExperimentContext::claim(
+    std::size_t order, std::uint64_t key, const ParamPoint* params) const {
+  Claim result;
+  result.mine = controls_.shard.contains(key);
+  if (result.mine && params != nullptr && controls_.checkpoint != nullptr) {
+    result.cached = controls_.checkpoint->find(name_, order);
+    util::require(result.cached == nullptr ||
+                      (result.cached->key == key &&
+                       serialize_identically(result.cached->params, *params)),
+                  "resume: checkpoint entry for " + name_ + "[" +
+                      std::to_string(order) +
+                      "] does not match this run's job (the log belongs "
+                      "to a different workload)");
+  }
+  return result;
+}
 
 std::vector<JobResult> ExperimentContext::sweep(
     const std::string& series, const std::vector<ParamPoint>& points,
     const JobFn& fn, const SweepPolicy& policy) {
-  const std::uint64_t series_seed =
-      util::derive_seed(base_seed_, fnv1a64(series));
+  return run_series(series, points, fn, policy, /*serial=*/false);
+}
+
+std::vector<JobResult> ExperimentContext::sweep(const std::string& series,
+                                                const ParamGrid& grid,
+                                                const JobFn& fn,
+                                                const SweepPolicy& policy) {
+  return sweep(series, grid.enumerate(), fn, policy);
+}
+
+std::vector<JobResult> ExperimentContext::serial_sweep(
+    const std::string& series, const std::vector<ParamPoint>& points,
+    const JobFn& fn) {
+  return run_series(series, points, fn, SweepPolicy::partition(),
+                    /*serial=*/true);
+}
+
+std::vector<JobResult> ExperimentContext::run_series(
+    const std::string& series, const std::vector<ParamPoint>& points,
+    const JobFn& fn, const SweepPolicy& policy, bool serial) {
+  const std::uint64_t seed = series_seed(series);
   const std::size_t first_order = next_order_;
   next_order_ += points.size();
 
@@ -87,41 +116,22 @@ std::vector<JobResult> ExperimentContext::sweep(
       util::require(group != nullptr,
                     "sweep '" + series + "': group_by param '" +
                         policy.group_param + "' missing from point");
-      keys[i] = util::derive_seed(series_seed,
-                                  fnv1a64(value_to_string(*group)));
+      keys[i] = util::derive_seed(seed, fnv1a64(value_to_string(*group)));
     } else {
-      keys[i] = util::derive_seed(series_seed, i);
+      keys[i] = util::derive_seed(seed, i);
     }
   }
-
-  if (controls_ != nullptr && controls_->coordinator != nullptr) {
-    return coordinated_sweep(series, points, fn, policy, keys, series_seed,
-                             first_order);
-  }
-
-  const ShardSpec shard = controls_ ? controls_->shard : ShardSpec{};
-  CheckpointLog* log = controls_ ? controls_->checkpoint : nullptr;
 
   std::vector<JobResult> results(points.size());
   std::vector<char> mine(points.size(), 1);
   std::vector<std::size_t> to_run;
   to_run.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    mine[i] = shard.contains(keys[i]) ? 1 : 0;
-    const CheckpointLog::Entry* cached =
-        (mine[i] != 0 && log != nullptr)
-            ? log->find(name_, first_order + i)
-            : nullptr;
-    if (cached != nullptr) {
-      util::require(cached->key == keys[i] &&
-                        serialize_identically(cached->params, points[i]),
-                    "resume: checkpoint entry for " + name_ + "[" +
-                        std::to_string(first_order + i) +
-                        "] does not match this run's job (the log belongs "
-                        "to a different workload)");
-      results[i].metrics = cached->metrics;
-      results[i].wall_ms = cached->wall_ms;
-    } else if (mine[i] != 0 ||
+    const Claim claimed = claim(first_order + i, keys[i], &points[i]);
+    mine[i] = claimed.mine ? 1 : 0;
+    if (claimed.cached != nullptr) {
+      results[i] = {claimed.cached->metrics, claimed.cached->wall_ms};
+    } else if (claimed.mine ||
                policy.mode == SweepPolicy::Mode::kReplicate) {
       to_run.push_back(i);
     } else {
@@ -129,6 +139,7 @@ std::vector<JobResult> ExperimentContext::sweep(
     }
   }
 
+  CheckpointLog* log = controls_.checkpoint;
   JobCompleteFn on_complete;
   if (log != nullptr) {
     on_complete = [&](std::size_t i, const JobResult& result) {
@@ -138,282 +149,38 @@ std::vector<JobResult> ExperimentContext::sweep(
       }
     };
   }
-  run_sweep_selected(pool_, points, series_seed, fn, to_run, results,
-                     on_complete);
-
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (mine[i] != 0) {
-      add_to_sink(series, points[i], results[i].metrics, results[i].wall_ms,
-                  first_order + i);
-    }
-  }
-  return results;
-}
-
-std::vector<JobResult> ExperimentContext::sweep(const std::string& series,
-                                                const ParamGrid& grid,
-                                                const JobFn& fn,
-                                                const SweepPolicy& policy) {
-  return sweep(series, grid.enumerate(), fn, policy);
-}
-
-std::vector<JobResult> ExperimentContext::coordinated_sweep(
-    const std::string& series, const std::vector<ParamPoint>& points,
-    const JobFn& fn, const SweepPolicy& policy,
-    const std::vector<std::uint64_t>& keys, std::uint64_t series_seed,
-    std::size_t first_order) {
-  using Claim = Coordinator::Claim;
-  Coordinator& coordinator = *controls_->coordinator;
-  CheckpointLog& log = coordinator.log();
-
-  std::vector<JobResult> results(points.size());
-  std::vector<char> mine(points.size(), 0);
-  std::vector<std::size_t> to_run;
-  to_run.reserve(points.size());
-
-  // This worker's own log caches units it completed in an earlier pass (or
-  // in a pre-crash run under the same worker id): committed results are
-  // re-recorded from the log instead of recomputed.
-  std::vector<const CheckpointLog::Entry*> cached(points.size(), nullptr);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    cached[i] = log.find(name_, first_order + i);
-    if (cached[i] != nullptr) {
-      util::require(cached[i]->key == keys[i] &&
-                        serialize_identically(cached[i]->params, points[i]),
-                    "coordinate: checkpoint entry for " + name_ + "[" +
-                        std::to_string(first_order + i) +
-                        "] does not match this run's job (the directory "
-                        "belongs to a different workload)");
-    }
-  }
-  const auto prefill = [&](std::size_t i) {
-    results[i].metrics = cached[i]->metrics;
-    results[i].wall_ms = cached[i]->wall_ms;
-  };
-
-  if (policy.mode == SweepPolicy::Mode::kGroupBy) {
-    // Groups are all-or-nothing lease units, acquired up front (a group's
-    // points must land in one worker so its reduction can run there).
-    std::vector<std::uint64_t> group_keys;    // unique, first-appearance
-    std::vector<std::uint64_t> held_groups;   // leases to complete
-    std::vector<std::vector<std::size_t>> members;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      std::size_t g = 0;
-      while (g < group_keys.size() && group_keys[g] != keys[i]) {
-        ++g;
-      }
-      if (g == group_keys.size()) {
-        group_keys.push_back(keys[i]);
-        members.emplace_back();
-      }
-      members[g].push_back(i);
-    }
-    for (std::size_t g = 0; g < group_keys.size(); ++g) {
-      const bool fully_cached =
-          std::all_of(members[g].begin(), members[g].end(),
-                      [&](std::size_t i) { return cached[i] != nullptr; });
-      // A fully cached group commits without re-leasing; otherwise the
-      // lease is held across the sweep and completed after every member's
-      // result is in the log (crash ordering: log before done marker).
-      const Claim claim = fully_cached
-                              ? coordinator.commit_ready(group_keys[g])
-                              : coordinator.acquire(group_keys[g]);
-      if (claim != Claim::kAcquired) {
-        for (const std::size_t i : members[g]) {
-          results[i].skipped = true;
-        }
-        continue;
-      }
-      if (!fully_cached) {
-        held_groups.push_back(group_keys[g]);
-      }
-      for (const std::size_t i : members[g]) {
-        mine[i] = 1;
-        if (cached[i] != nullptr) {
-          prefill(i);
-        } else {
-          to_run.push_back(i);
-        }
-      }
-    }
-    const JobCompleteFn on_complete = [&](std::size_t i,
-                                          const JobResult& result) {
-      log.append(name_, series, first_order + i, keys[i], points[i], result);
-    };
-    run_sweep_selected(pool_, points, series_seed, fn, to_run, results,
-                       on_complete);
-    for (const std::uint64_t group : held_groups) {
-      coordinator.complete(group);
-    }
-  } else if (policy.mode == SweepPolicy::Mode::kReplicate) {
-    // Every worker computes all points (the body needs complete results for
-    // cross-point post-processing); leases only decide which worker RECORDS
-    // each point, resolved after the values exist.
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (cached[i] != nullptr) {
-        prefill(i);
-      } else {
-        to_run.push_back(i);
-      }
-    }
-    run_sweep_selected(pool_, points, series_seed, fn, to_run, results);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (cached[i] != nullptr) {
-        mine[i] = coordinator.commit_ready(keys[i]) == Claim::kAcquired;
-      } else if (coordinator.acquire(keys[i]) == Claim::kAcquired) {
-        log.append(name_, series, first_order + i, keys[i], points[i],
-                   results[i]);
-        coordinator.complete(keys[i]);
-        mine[i] = 1;
-      }
-    }
-  } else {  // kPartition
-    // Cached points commit up front; the rest are leased lazily on the
-    // pool thread just before execution (the admit hook), so concurrent
-    // workers steal work from each other point by point.
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (cached[i] == nullptr) {
-        to_run.push_back(i);
-        continue;
-      }
-      if (coordinator.commit_ready(keys[i]) == Claim::kAcquired) {
-        prefill(i);
-        mine[i] = 1;
-      } else {
-        results[i].skipped = true;
-      }
-    }
-    const JobAdmitFn admit = [&](std::size_t i) {
-      if (coordinator.acquire(keys[i]) == Claim::kAcquired) {
-        mine[i] = 1;
-        return true;
-      }
-      return false;
-    };
-    const JobCompleteFn on_complete = [&](std::size_t i,
-                                          const JobResult& result) {
-      log.append(name_, series, first_order + i, keys[i], points[i], result);
-      coordinator.complete(keys[i]);
-    };
-    run_sweep_selected(pool_, points, series_seed, fn, to_run, results,
-                       on_complete, admit);
-  }
-
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (mine[i] != 0) {
-      add_to_sink(series, points[i], results[i].metrics, results[i].wall_ms,
-                  first_order + i);
-    }
-  }
-  return results;
-}
-
-std::vector<JobResult> ExperimentContext::serial_sweep(
-    const std::string& series, const std::vector<ParamPoint>& points,
-    const JobFn& fn) {
-  const std::uint64_t series_seed =
-      util::derive_seed(base_seed_, fnv1a64(series));
-  const std::size_t first_order = next_order_;
-  next_order_ += points.size();
-
-  if (controls_ != nullptr && controls_->coordinator != nullptr) {
-    // Serial work stealing: each point is leased right before it runs —
-    // still on the calling thread, so the kernels inside fn keep their
-    // kernel-pool parallelism — and committed once its result is logged.
-    using Claim = Coordinator::Claim;
-    Coordinator& coordinator = *controls_->coordinator;
-    CheckpointLog& log = coordinator.log();
-    std::vector<JobResult> results(points.size());
-    std::vector<char> mine(points.size(), 0);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const std::uint64_t key = util::derive_seed(series_seed, i);
-      const CheckpointLog::Entry* cached = log.find(name_, first_order + i);
-      if (cached != nullptr) {
-        util::require(cached->key == key &&
-                          serialize_identically(cached->params, points[i]),
-                      "coordinate: checkpoint entry for " + name_ + "[" +
-                          std::to_string(first_order + i) +
-                          "] does not match this run's job (the directory "
-                          "belongs to a different workload)");
-        if (coordinator.commit_ready(key) == Claim::kAcquired) {
-          results[i].metrics = cached->metrics;
-          results[i].wall_ms = cached->wall_ms;
-          mine[i] = 1;
-        } else {
-          results[i].skipped = true;
-        }
-        continue;
-      }
-      if (coordinator.acquire(key) != Claim::kAcquired) {
-        results[i].skipped = true;
-        continue;
-      }
-      mine[i] = 1;
-      util::Rng rng(key);  // sweep()'s exact per-point seeding
+  if (serial) {
+    // On the calling thread, outside the sweep pool, with the per-job
+    // seeding and timing of run_sweep_selected.
+    for (const std::size_t i : to_run) {
+      util::Rng rng(keys[i]);
       const auto start = std::chrono::steady_clock::now();
       results[i].metrics = fn(points[i], rng);
-      results[i].wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-      log.append(name_, series, first_order + i, key, points[i], results[i]);
-      coordinator.complete(key);
-    }
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (mine[i] != 0) {
-        add_to_sink(series, points[i], results[i].metrics,
-                    results[i].wall_ms, first_order + i);
+      results[i].wall_ms = elapsed_ms(start);
+      if (on_complete) {
+        on_complete(i, results[i]);
       }
     }
-    return results;
+  } else {
+    run_sweep_selected(pool_, points, seed, fn, to_run, results,
+                       on_complete);
   }
 
-  const ShardSpec shard = controls_ ? controls_->shard : ShardSpec{};
-  CheckpointLog* log = controls_ ? controls_->checkpoint : nullptr;
-
-  std::vector<JobResult> results(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const std::uint64_t key = util::derive_seed(series_seed, i);
-    if (!shard.contains(key)) {
-      results[i].skipped = true;
-      continue;
-    }
-    const CheckpointLog::Entry* cached =
-        log != nullptr ? log->find(name_, first_order + i) : nullptr;
-    if (cached != nullptr) {
-      util::require(cached->key == key &&
-                        serialize_identically(cached->params, points[i]),
-                    "resume: checkpoint entry for " + name_ + "[" +
-                        std::to_string(first_order + i) +
-                        "] does not match this run's job (the log belongs "
-                        "to a different workload)");
-      results[i].metrics = cached->metrics;
-      results[i].wall_ms = cached->wall_ms;
-      continue;
-    }
-    util::Rng rng(key);  // == point_rng(series, i): sweep()'s exact seeding
-    const auto start = std::chrono::steady_clock::now();
-    results[i].metrics = fn(points[i], rng);
-    results[i].wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-    if (log != nullptr) {
-      log->append(name_, series, first_order + i, key, points[i],
-                  results[i]);
-    }
-  }
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!results[i].skipped) {
+    if (mine[i] != 0) {
       add_to_sink(series, points[i], results[i].metrics, results[i].wall_ms,
                   first_order + i);
     }
   }
   return results;
+}
+
+std::uint64_t ExperimentContext::series_seed(const std::string& series) const {
+  return util::derive_seed(base_seed_, fnv1a64(series));
 }
 
 std::uint64_t ExperimentContext::next_record_key(const std::string& series) {
-  const std::uint64_t series_seed =
-      util::derive_seed(base_seed_, fnv1a64(series));
-  return util::derive_seed(series_seed, record_counts_[series]++);
+  return util::derive_seed(series_seed(series), record_counts_[series]++);
 }
 
 void ExperimentContext::add_to_sink(const std::string& series,
@@ -431,16 +198,7 @@ void ExperimentContext::record(const std::string& series, ParamPoint params,
                                Metrics metrics, double wall_ms) {
   const std::uint64_t key = next_record_key(series);
   const std::size_t order = next_order_++;
-  if (controls_ != nullptr && controls_->coordinator != nullptr) {
-    // The value was computed inline (every worker has it); the lease
-    // protocol only decides which worker's document carries the point.
-    if (controls_->coordinator->commit_ready(key) ==
-        Coordinator::Claim::kAcquired) {
-      add_to_sink(series, params, std::move(metrics), wall_ms, order);
-    }
-    return;
-  }
-  if (controls_ == nullptr || controls_->shard.contains(key)) {
+  if (claim(order, key, nullptr).mine) {
     add_to_sink(series, params, std::move(metrics), wall_ms, order);
   }
 }
@@ -448,14 +206,8 @@ void ExperimentContext::record(const std::string& series, ParamPoint params,
 void ExperimentContext::record_owned(const std::string& series,
                                      ParamPoint params, Metrics metrics,
                                      double wall_ms) {
-  const std::uint64_t key = next_record_key(series);
-  const std::size_t order = next_order_++;
-  add_to_sink(series, params, std::move(metrics), wall_ms, order);
-  if (controls_ != nullptr && controls_->coordinator != nullptr) {
-    // Releases the lease owns_next_record() took for this point (without
-    // this, peers would see the point kBusy forever and never converge).
-    controls_->coordinator->complete(key);
-  }
+  next_record_key(series);
+  add_to_sink(series, params, std::move(metrics), wall_ms, next_order_++);
 }
 
 void ExperimentContext::skip_record(const std::string& series) {
@@ -464,37 +216,20 @@ void ExperimentContext::skip_record(const std::string& series) {
 }
 
 bool ExperimentContext::owns_next_record(const std::string& series) const {
-  if (controls_ == nullptr) {
-    return true;
-  }
   const auto it = record_counts_.find(series);
   const std::uint64_t index = it == record_counts_.end() ? 0 : it->second;
-  const std::uint64_t series_seed =
-      util::derive_seed(base_seed_, fnv1a64(series));
-  const std::uint64_t key = util::derive_seed(series_seed, index);
-  if (controls_->coordinator != nullptr) {
-    // Leases the point: true means compute it and call record_owned()
-    // (which completes the lease); false means another worker owns it —
-    // call skip_record() as in the shard case. acquire() is idempotent, so
-    // asking twice before recording is safe.
-    return controls_->coordinator->acquire(key) ==
-           Coordinator::Claim::kAcquired;
-  }
-  if (!controls_->shard.active()) {
-    return true;
-  }
-  return controls_->shard.contains(key);
+  return claim(next_order_, util::derive_seed(series_seed(series), index),
+               nullptr)
+      .mine;
 }
 
 util::Rng ExperimentContext::series_rng(const std::string& series) const {
-  return util::Rng(util::derive_seed(base_seed_, fnv1a64(series)));
+  return util::Rng(series_seed(series));
 }
 
 util::Rng ExperimentContext::point_rng(const std::string& series,
                                        std::size_t index) const {
-  const std::uint64_t series_seed =
-      util::derive_seed(base_seed_, fnv1a64(series));
-  return util::Rng(util::derive_seed(series_seed, index));
+  return util::Rng(util::derive_seed(series_seed(series), index));
 }
 
 namespace {
@@ -547,25 +282,6 @@ void print_usage(std::ostream& os, const char* forced_experiment) {
         "in-core\n"
         "                           cap (default: DQMA_SCRATCH_DIR env var, "
         "else off)\n"
-        "  --coordinate <dir>       elastic worker mode: lease work units "
-        "from the\n"
-        "                           shared directory <dir> (any number of "
-        "workers,\n"
-        "                           crash-tolerant); requires --json; "
-        "--merge of all\n"
-        "                           finalized workers == the monolithic "
-        "document\n"
-        "  --worker <id>            stable worker id for --coordinate "
-        "(default:\n"
-        "                           generated; reuse it to resume a crashed "
-        "worker's\n"
-        "                           checkpoint log)\n"
-        "  --lease-timeout <ms>     heartbeat staleness bound for "
-        "--coordinate:\n"
-        "                           a worker silent this long is declared "
-        "dead and\n"
-        "                           its units are reclaimed (default "
-        "60000)\n"
         "  --help                   this message\n";
 }
 
@@ -621,22 +337,6 @@ bool parse_cli(int argc, const char* const* argv, bool allow_select,
       const char* value = next_value("--scratch");
       if (value == nullptr) return false;
       options.scratch = value;
-    } else if (arg == "--coordinate") {
-      const char* value = next_value("--coordinate");
-      if (value == nullptr) return false;
-      options.coordinate_dir = value;
-    } else if (arg == "--worker") {
-      const char* value = next_value("--worker");
-      if (value == nullptr) return false;
-      options.worker_id = value;
-    } else if (arg == "--lease-timeout") {
-      const char* value = next_value("--lease-timeout");
-      if (value == nullptr) return false;
-      options.lease_timeout_ms = std::atoi(value);
-      if (options.lease_timeout_ms <= 0) {
-        error = "--lease-timeout requires a positive integer (ms)";
-        return false;
-      }
     } else if (arg == "--simd") {
       const char* value = next_value("--simd");
       if (value == nullptr) return false;
@@ -738,28 +438,6 @@ bool validate_options(const CliOptions& options, std::string& error) {
             "compared (merge the shards first)";
     return false;
   }
-  if (!options.coordinate_dir.empty()) {
-    if (!options.shard.empty() || !options.resume_path.empty() ||
-        !options.merge_inputs.empty() || !options.compare_path.empty() ||
-        options.list_only) {
-      error = "--coordinate cannot be combined with "
-              "--shard/--resume/--merge/--compare/--list (the coordinator "
-              "partitions and checkpoints by itself)";
-      return false;
-    }
-    if (options.json_path.empty() || options.json_path == "-") {
-      error = "--coordinate requires --json <file>: the worker's partial "
-              "document is what --merge reassembles";
-      return false;
-    }
-    if (options.worker_id.find('/') != std::string::npos) {
-      error = "--worker id must not contain '/'";
-      return false;
-    }
-  } else if (!options.worker_id.empty()) {
-    error = "--worker only makes sense with --coordinate";
-    return false;
-  }
   return true;
 }
 
@@ -808,110 +486,6 @@ int run_merge(const CliOptions& options) {
     return run_compare(merged, options);
   }
   return 0;
-}
-
-/// The elastic worker driver (--coordinate): loops execution passes until
-/// every work unit is committed by a live or finalized worker, writes this
-/// worker's partial document, then publishes the `.final` marker. Exit
-/// codes: 0 finalized, 1 error, 3 evicted (a peer declared this worker
-/// dead and is recomputing its units).
-int run_coordinated(const CliOptions& options,
-                    const std::vector<const Experiment*>& selected,
-                    ThreadPool& pool) {
-  namespace fs = std::filesystem;
-  Coordinator::Options coordinator_options;
-  coordinator_options.dir = options.coordinate_dir;
-  coordinator_options.worker = options.worker_id;
-  coordinator_options.base_seed = options.seed;
-  coordinator_options.smoke = options.smoke;
-  coordinator_options.lease_timeout_ms = options.lease_timeout_ms;
-  if (coordinator_options.worker.empty()) {
-    // Default id: unique across processes and hosts sharing the directory.
-    // A FIXED --worker id is what lets a restarted worker reuse its
-    // checkpoint log instead of waiting out its own lease timeout.
-    std::random_device seed_device;
-#ifndef _WIN32
-    const long long pid = static_cast<long long>(::getpid());
-#else
-    const long long pid = 0;
-#endif
-    coordinator_options.worker = "w" + std::to_string(pid) + "-" +
-                                 std::to_string(seed_device() % 100000);
-  }
-
-  try {
-    Coordinator coordinator(coordinator_options);
-    RunControls controls;
-    controls.checkpoint = &coordinator.log();
-    controls.coordinator = &coordinator;
-    // Workers are batch processes possibly looping several passes: ASCII
-    // tables are suppressed, progress goes to stderr, and only the final
-    // pass's document is written.
-    std::ofstream null_stream;
-    null_stream.setstate(std::ios_base::badbit);
-
-    ResultSink sink;
-    // Repeat passes are cheap — everything this worker committed replays
-    // from its checkpoint log — so the cap only guards a livelock bug.
-    constexpr int kMaxPasses = 10000;
-    for (int pass = 0;; ++pass) {
-      coordinator.begin_pass();
-      ResultSink pass_sink;
-      for (const Experiment* experiment : selected) {
-        pass_sink.begin_experiment(experiment->name,
-                                   experiment->description);
-        const auto start = std::chrono::steady_clock::now();
-        ExperimentContext context(*experiment, pool, pass_sink, null_stream,
-                                  options.smoke, options.seed, &controls);
-        experiment->run(context);
-        pass_sink.end_experiment(elapsed_ms(start));
-      }
-      if (coordinator.pass_converged()) {
-        sink = std::move(pass_sink);
-        break;
-      }
-      util::require(pass + 1 < kMaxPasses,
-                    "coordinate: no convergence after " +
-                        std::to_string(kMaxPasses) + " passes");
-      coordinator.backoff_sleep();
-    }
-
-    ResultSink::WriteOptions write_options;
-    write_options.smoke = options.smoke;
-    write_options.base_seed = options.seed;
-    write_options.include_timings = options.timings;
-    write_options.coordinated = true;
-    {
-      std::ofstream file(options.json_path);
-      if (!file) {
-        std::cerr << "dqma_bench: cannot open " << options.json_path
-                  << " for writing\n";
-        return 1;
-      }
-      sink.write_json(file, write_options);
-    }
-    // Document on disk first, then the .final marker: a crash in between
-    // leaves a stale worker whose units get reclaimed, never a finalized
-    // worker without a document.
-    coordinator.finalize();
-    const Coordinator::Stats stats = coordinator.stats();
-    std::cerr << "dqma_bench: worker " << coordinator.worker()
-              << " finalized: " << stats.acquired << " acquired, "
-              << stats.cached << " cached, " << stats.done_elsewhere
-              << " done elsewhere, " << stats.busy << " busy, "
-              << stats.reclaims << " reclaims, " << stats.evictions
-              << " evictions, " << stats.passes << " pass(es)\n";
-    return 0;
-  } catch (const WorkerEvicted& e) {
-    // Any document written by an evicted worker must never feed --merge.
-    std::error_code ec;
-    fs::remove(options.json_path, ec);
-    std::cerr << "dqma_bench: " << e.what() << "\n";
-    return 3;
-  } catch (const std::exception& e) {
-    std::cerr << "dqma_bench: " << e.what() << "\n";
-    return 1;
-  }
 }
 
 }  // namespace
@@ -1008,10 +582,6 @@ int cli_main(int argc, const char* const* argv,
   // (sweep/parallel.hpp nesting contract), so the two levels never
   // oversubscribe each other.
   set_kernel_threads(options.threads);
-
-  if (!options.coordinate_dir.empty()) {
-    return run_coordinated(options, selected, pool);
-  }
 
   ResultSink sink;
   const bool json_to_stdout = options.json_path == "-";

@@ -26,20 +26,15 @@
 
 namespace dqma::sweep {
 
-class Coordinator;
 class ExperimentContext;
 
-/// Shard/resume/coordination state shared by every experiment of one
-/// driver run; nullptr members (and a default ShardSpec) mean the classic
-/// monolithic run, whose behavior and bytes are unchanged. `coordinator`
-/// set means an elastic worker (--coordinate): work units are leased at
-/// run time instead of partitioned statically, and `checkpoint` points at
-/// the coordinator's own per-worker log. shard stays inactive — the two
-/// partitioning modes are mutually exclusive.
+/// Shard/resume state shared by every experiment of one driver run. The
+/// default (an inactive ShardSpec, which contains every key, and no
+/// checkpoint log) is the monolithic run, whose behavior and bytes are
+/// unchanged.
 struct RunControls {
   ShardSpec shard;
   CheckpointLog* checkpoint = nullptr;
-  Coordinator* coordinator = nullptr;
 };
 
 /// How a series partitions across shards (`--shard i/N`). Every mode
@@ -108,15 +103,7 @@ class ExperimentContext {
   /// True when this run executes one shard of the job space; bodies may
   /// use it to skip shard-incomplete cosmetics (never to change any
   /// recorded value).
-  bool sharded() const {
-    return controls_ != nullptr && controls_->shard.active();
-  }
-  /// True when this run is an elastic worker leasing units from a
-  /// coordinator directory; like sharded(), bodies may use it only for
-  /// shard-incomplete cosmetics, never to change a recorded value.
-  bool coordinated() const {
-    return controls_ != nullptr && controls_->coordinator != nullptr;
-  }
+  bool sharded() const { return controls_.shard.active(); }
 
   /// smoke() ? smoke_variant : full — mirrors util::smoke_select but keyed
   /// off the context (the driver's --smoke flag or DQMA_BENCH_SMOKE).
@@ -184,19 +171,32 @@ class ExperimentContext {
   util::Rng point_rng(const std::string& series, std::size_t index) const;
 
  private:
+  /// Where one point's result comes from in this process: run it here
+  /// (mine, nothing cached), replay it from the checkpoint log (mine,
+  /// cached), or leave it to another shard (not mine).
+  struct Claim {
+    bool mine = true;
+    const CheckpointLog::Entry* cached = nullptr;
+  };
+  /// The one ownership decision behind every recording path: the shard
+  /// test on the point's partition `key`, then — for checkpointed points
+  /// (`params` non-null) of this shard under --resume — the log lookup at
+  /// canonical `order`, verified against the job's key and params.
+  Claim claim(std::size_t order, std::uint64_t key,
+              const ParamPoint* params) const;
+  /// sweep() and serial_sweep(): claims every point, runs the ones to run
+  /// (on the pool, or serially on the calling thread), checkpoints them,
+  /// and records this shard's points.
+  std::vector<JobResult> run_series(const std::string& series,
+                                    const std::vector<ParamPoint>& points,
+                                    const JobFn& fn, const SweepPolicy& policy,
+                                    bool serial);
+  /// derive_seed(base_seed, fnv1a64(series)): the series' seed namespace.
+  std::uint64_t series_seed(const std::string& series) const;
   /// The canonical point key of record()-style points; advances the
   /// per-series record index (shared with record_owned/skip_record so the
   /// counters agree across shards).
   std::uint64_t next_record_key(const std::string& series);
-  /// sweep() under a coordinator: ownership comes from run-time leases
-  /// instead of the static shard partition. Point/group keys and seeding
-  /// are identical to the shard path, so any worker that wins a lease
-  /// computes exactly the bytes the monolithic run would have.
-  std::vector<JobResult> coordinated_sweep(
-      const std::string& series, const std::vector<ParamPoint>& points,
-      const JobFn& fn, const SweepPolicy& policy,
-      const std::vector<std::uint64_t>& keys, std::uint64_t series_seed,
-      std::size_t first_order);
   /// Prefixes the series name and records into the sink at `order`.
   void add_to_sink(const std::string& series, const ParamPoint& params,
                    Metrics metrics, double wall_ms, std::size_t order);
@@ -207,7 +207,7 @@ class ExperimentContext {
   std::ostream& out_;
   bool smoke_;
   std::uint64_t base_seed_;
-  const RunControls* controls_;
+  RunControls controls_;
   /// Position the NEXT recorded point would take in the canonical
   /// (unsharded) run of this experiment. Advances for every declared
   /// point — executed, resumed, or owned by another shard — so orders
@@ -233,9 +233,6 @@ struct CliOptions {
   double tolerance = 1e-9;                ///< --compare floating tolerance
   std::string simd;  ///< SIMD level override; empty => DQMA_SIMD / native
   std::string scratch;  ///< scratch dir for tiled passes; empty => env var
-  std::string coordinate_dir;  ///< elastic mode when non-empty
-  std::string worker_id;       ///< --worker; empty => generated
-  int lease_timeout_ms = 60000;  ///< --lease-timeout
 };
 
 /// Shared driver main: parses argv, runs the selected experiments, writes

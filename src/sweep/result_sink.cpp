@@ -50,10 +50,9 @@ Json ResultSink::to_json(const WriteOptions& options) const {
 
 Json trajectory_to_json(const std::vector<ExperimentRecord>& records,
                         const ResultSink::WriteOptions& options) {
-  // A "partial" document (one shard, or one coordinated worker) records a
-  // subset of the canonical points, so each must carry its order.
+  // A shard document records a subset of the canonical points, so each
+  // must carry its order.
   const bool sharded = options.shard_count > 1;
-  const bool partial = sharded || options.coordinated;
   Json config = Json::object();
   config.add("smoke", Json(options.smoke));
   config.add("base_seed", Json(options.base_seed));
@@ -61,16 +60,13 @@ Json trajectory_to_json(const std::vector<ExperimentRecord>& records,
     config.add("shard", Json(std::to_string(options.shard_index) + "/" +
                              std::to_string(options.shard_count)));
   }
-  if (options.coordinated) {
-    config.add("coordinated", Json(true));
-  }
 
   Json experiments = Json::array();
   for (const auto& experiment : records) {
     Json points = Json::array();
     for (const auto& point : experiment.points) {
       Json entry = Json::object();
-      if (partial) {
+      if (sharded) {
         entry.add("order", Json(static_cast<std::uint64_t>(point.order)));
       }
       entry.add("params", Json::from_named_values(point.params));

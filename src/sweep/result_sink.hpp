@@ -87,12 +87,6 @@ class ResultSink {
     /// byte-identical to what pre-shard builds wrote.
     int shard_index = 0;
     int shard_count = 1;
-    /// An elastic worker's partial document (--coordinate): config gains
-    /// "coordinated": true and every point carries its canonical "order",
-    /// like a shard document but with a lease-dependent (nondeterministic)
-    /// subset of points. --merge of all finalized workers drops the marker
-    /// and reproduces the canonical complete bytes.
-    bool coordinated = false;
   };
 
   /// Builds the schema_version-1 document described above.

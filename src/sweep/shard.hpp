@@ -86,8 +86,8 @@ class CheckpointLog {
   /// The completed entry for (experiment, canonical order), or nullptr.
   /// The caller verifies the entry's key against the job's partition key —
   /// a mismatch means the log belongs to a different workload shape.
-  /// Pointers stay valid across append() (map nodes are stable), which also
-  /// indexes the new line — coordinated runs re-scan the log every pass.
+  /// Pointers stay valid across append() (map nodes are stable); append()
+  /// also indexes the new line, so find() sees points completed this run.
   const Entry* find(const std::string& experiment, std::size_t order) const;
 
   /// Appends one completed point, flushes, and indexes it for find().

@@ -163,16 +163,11 @@ void run_sweep_selected(ThreadPool& pool,
                         std::uint64_t base_seed, const JobFn& fn,
                         const std::vector<std::size_t>& selected,
                         std::vector<JobResult>& results,
-                        const JobCompleteFn& on_complete,
-                        const JobAdmitFn& admit) {
+                        const JobCompleteFn& on_complete) {
   util::require(results.size() == points.size(),
                 "run_sweep_selected: results/points size mismatch");
   pool.run_indexed(selected.size(), [&](std::size_t slot) {
     const std::size_t i = selected[slot];
-    if (admit && !admit(i)) {
-      results[i].skipped = true;
-      return;
-    }
     util::Rng rng(util::derive_seed(base_seed, i));
     const auto start = std::chrono::steady_clock::now();
     results[i].metrics = fn(points[i], rng);

@@ -112,13 +112,6 @@ std::vector<JobResult> run_sweep(ThreadPool& pool,
 /// no lock — the callee synchronizes). The checkpoint log hangs off this.
 using JobCompleteFn = std::function<void(std::size_t, const JobResult&)>;
 
-/// Asked (on the pool thread, just before job i would execute) whether to
-/// run it. Returning false marks results[i] skipped and suppresses
-/// on_complete — the hook the elastic coordinator uses to lease points at
-/// the last moment, so workers steal work point by point. Exceptions
-/// propagate like job exceptions. Seeding is untouched either way.
-using JobAdmitFn = std::function<bool(std::size_t)>;
-
 /// run_sweep restricted to the jobs listed in `selected` (ascending point
 /// indices): job i keeps its full-sweep seed derive_seed(base_seed, i) and
 /// writes results[i], so executing a subset — a shard's slice, or the
@@ -130,8 +123,7 @@ void run_sweep_selected(ThreadPool& pool,
                         std::uint64_t base_seed, const JobFn& fn,
                         const std::vector<std::size_t>& selected,
                         std::vector<JobResult>& results,
-                        const JobCompleteFn& on_complete = nullptr,
-                        const JobAdmitFn& admit = nullptr);
+                        const JobCompleteFn& on_complete = nullptr);
 
 /// True when the two value sets serialize identically through the JSON
 /// writer — the equivalence a JSON round trip preserves. Value equality is

@@ -59,9 +59,6 @@ Trajectory Trajectory::from_json(const Node& document) {
   if (const Node* shard = config.find("shard")) {
     trajectory.shard = ShardSpec::parse(shard->as_string());
   }
-  if (const Node* coordinated = config.find("coordinated")) {
-    trajectory.coordinated = coordinated->as_bool();
-  }
 
   for (const Node& record : document.at("experiments").items()) {
     ExperimentRecord experiment;
@@ -113,7 +110,6 @@ Json Trajectory::to_json() const {
   options.include_timings = has_timings;
   options.shard_index = shard.index;
   options.shard_count = shard.count;
-  options.coordinated = coordinated;
   return trajectory_to_json(experiments, options);
 }
 
@@ -130,9 +126,6 @@ Trajectory merge_trajectories(std::vector<Trajectory> shards) {
                   "merge: cannot mix --timings and untimed shards");
     util::require(shard.shard.count == merged.shard.count,
                   "merge: shard counts disagree");
-    util::require(shard.coordinated == merged.coordinated,
-                  "merge: cannot mix coordinated worker documents with "
-                  "other documents");
     util::require(shard.experiments.size() == merged.experiments.size(),
                   "merge: shards ran different experiment selections");
     for (std::size_t e = 0; e < merged.experiments.size(); ++e) {
@@ -167,8 +160,7 @@ Trajectory merge_trajectories(std::vector<Trajectory> shards) {
     }
   }
 
-  merged.shard = ShardSpec{};    // the canonical complete document
-  merged.coordinated = false;
+  merged.shard = ShardSpec{};  // the canonical complete document
   return merged;
 }
 
@@ -317,12 +309,6 @@ std::size_t compare_trajectories(const Trajectory& baseline,
   }
   if (baseline.shard.active() || current.shard.active()) {
     reporter.report("shard documents cannot be compared (merge them first)");
-    return reporter.count();
-  }
-  if (baseline.coordinated || current.coordinated) {
-    reporter.report(
-        "coordinated worker documents cannot be compared (merge the "
-        "finalized workers first)");
     return reporter.count();
   }
 

@@ -41,10 +41,6 @@ struct Trajectory {
   bool has_timings = false;
   /// count > 1 for shard documents; points then carry canonical orders.
   ShardSpec shard;
-  /// True for an elastic worker's partial document (--coordinate): a
-  /// lease-dependent subset of points, each carrying its canonical order.
-  /// Merging all finalized workers drops the flag.
-  bool coordinated = false;
   std::vector<ExperimentRecord> experiments;
 
   /// Validates schema_version 1 and the document shape; throws

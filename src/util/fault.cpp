@@ -24,7 +24,7 @@ struct Rule {
   long long arg = 0;  // crash_after: probe count; stall: milliseconds
 };
 
-constexpr unsigned kAllSites = 0xFu;
+constexpr unsigned kAllSites = 0x7u;
 
 std::atomic<bool> g_armed{false};
 std::vector<Rule> g_rules;                 // written only while disarmed
@@ -34,7 +34,6 @@ std::once_flag g_env_once;
 
 bool parse_site(const std::string& token, unsigned* mask) {
   if (token == "checkpoint") *mask = 1u << static_cast<int>(Site::kCheckpoint);
-  else if (token == "lease") *mask = 1u << static_cast<int>(Site::kLease);
   else if (token == "scratch") *mask = 1u << static_cast<int>(Site::kScratch);
   else if (token == "serve") *mask = 1u << static_cast<int>(Site::kServe);
   else return false;

@@ -8,7 +8,7 @@
 //   [site:]action[:arg]
 //
 // where `site` narrows the clause to one instrumented subsystem
-// (checkpoint, lease, scratch, serve; omitted = every site) and `action`
+// (checkpoint, scratch, serve; omitted = every site) and `action`
 // is one of
 //
 //   crash_after:N   _exit(137) on the N-th matching probe (SIGKILL-style:
@@ -18,9 +18,9 @@
 //                   strict prefix of the record, then crashes
 //   enospc          every matching allocation fails as if the disk were full
 //
-// Examples: DQMA_FAULT=lease:crash_after:25 kills a coordinated worker in
-// the middle of its 25th lease-protocol step; DQMA_FAULT=checkpoint:torn_write
-// leaves a half-written JSONL line for the resume path to tolerate.
+// Examples: DQMA_FAULT=checkpoint:crash_after:3 kills a --resume run at its
+// third checkpoint append; DQMA_FAULT=checkpoint:torn_write leaves a
+// half-written JSONL line for the resume path to tolerate.
 //
 // Instrumented code calls point() at protocol steps (crash_after / stall
 // fire there), asks should_tear() before durable writes, and
@@ -32,7 +32,7 @@
 
 namespace dqma::util::fault {
 
-enum class Site { kCheckpoint = 0, kLease, kScratch, kServe };
+enum class Site { kCheckpoint = 0, kScratch, kServe };
 
 /// Probe at a protocol step: may stall, may never return (crash_after).
 void point(Site site);

@@ -1,8 +1,9 @@
 // Sharded, resumable sweep execution (sweep/shard.hpp, sweep/trajectory.hpp
 // and the dqma_bench CLI glue): partition disjointness and coverage, the
 // byte-identity of merged shard documents vs the monolithic run, resume
-// from complete and truncated checkpoint logs, and the baseline-comparison
-// gate's tolerance policy and exit codes.
+// from complete and truncated checkpoint logs and from real mid-run crashes
+// (DQMA_FAULT's checkpoint site, in death-test children), and the
+// baseline-comparison gate's tolerance policy and exit codes.
 //
 // The end-to-end tests register three small fake experiments covering
 // every recording mode (partitioned/replicated/grouped sweeps,
@@ -27,6 +28,7 @@
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
 #include "sweep/trajectory.hpp"
+#include "util/fault.hpp"
 #include "util/json_reader.hpp"
 #include "util/rng.hpp"
 
@@ -316,6 +318,66 @@ TEST(ShardEndToEndTest, ResumeReproducesBytesAndSkipsFinishedPoints) {
   EXPECT_EQ(run_cli({"--threads", "2", "--seed", "9", "--resume", log}), 1);
 }
 
+std::vector<std::string> read_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::istringstream stream(read_file(path));
+  for (std::string line; std::getline(stream, line);) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+// Kills a --resume run of the fake experiments through the checkpoint
+// fault site (exit 137, no destructors) and returns the log it left. One
+// thread, so the crash lands at a known append. The threadsafe death-test
+// child re-runs its test body up to the death statement, so each test makes
+// exactly one crash, first.
+std::string crash_resume_run(const char* spec, const std::string& name) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string log = temp_path(name);
+  std::remove(log.c_str());
+  EXPECT_EXIT(
+      {
+        dqma::util::fault::reset_for_test(spec);
+        run_cli({"--threads", "1", "--resume", log, "--json",
+                 temp_path("crash_never.json")});
+      },
+      ::testing::ExitedWithCode(137), "");
+  return log;
+}
+
+// Resuming from a crashed run's log reproduces the monolithic bytes; sweep
+// jobs the resumed run executes are counted in g_grid_jobs.
+void expect_resume_reproduces_monolithic(const std::string& log) {
+  const std::string full = temp_path("crash_full.json");
+  ASSERT_EQ(run_cli({"--threads", "2", "--json", full}), 0);
+  g_grid_jobs.store(0);
+  const std::string resumed = temp_path("crash_resumed.json");
+  ASSERT_EQ(run_cli({"--threads", "2", "--resume", log, "--json", resumed}),
+            0);
+  EXPECT_EQ(read_file(resumed), read_file(full));
+}
+
+TEST(ShardEndToEndTest, ResumeRecoversFromTornCheckpointWrite) {
+  // torn_write: the first append persists half a line, then dies.
+  const std::string log =
+      crash_resume_run("checkpoint:torn_write", "crash_torn.jsonl");
+  const std::string text = read_file(log);
+  ASSERT_EQ(read_lines(log).size(), 2u) << "header + torn fragment";
+  EXPECT_NE(text.back(), '\n') << "the fragment has no newline";
+  expect_resume_reproduces_monolithic(log);
+  EXPECT_EQ(g_grid_jobs.load(), 6) << "nothing was committed";
+}
+
+TEST(ShardEndToEndTest, ResumeRecoversFromCrashBetweenAppends) {
+  // crash_after:3: two appends commit, the third probe kills the run.
+  const std::string log =
+      crash_resume_run("checkpoint:crash_after:3", "crash_after.jsonl");
+  ASSERT_EQ(read_lines(log).size(), 3u) << "header + two entries";
+  expect_resume_reproduces_monolithic(log);
+  EXPECT_EQ(g_grid_jobs.load(), 4) << "the two logged grid points replay";
+}
+
 TEST(ShardEndToEndTest, ShardedResumeComposes) {
   const std::string full = temp_path("shres_full.json");
   ASSERT_EQ(run_cli({"--threads", "2", "--json", full}), 0);
@@ -376,6 +438,19 @@ TEST(ShardEndToEndTest, FailsFastOnBadOutputPath) {
   EXPECT_EQ(run_cli({"--shard", "5/4"}), 2);
   EXPECT_EQ(run_cli({"--merge", "--json", temp_path("never.json")}), 2);
   EXPECT_EQ(run_cli({"--shard", "0/2", "--compare", "whatever.json"}), 2);
+  // Elastic-worker flags are not part of the CLI: each is an unknown
+  // option, not a silently ignored one.
+  for (const auto& [name, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"coordinate", "x"}, {"worker", "w"}, {"lease-timeout", "5"}}) {
+    const std::string flag = "--" + name;
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_cli({flag, value}), 2) << flag;
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "unknown option " + flag),
+              std::string::npos)
+        << flag;
+  }
   EXPECT_EQ(g_grid_jobs.load(), 0)
       << "validation failures must not start any experiment work";
 }
