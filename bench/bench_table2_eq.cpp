@@ -363,24 +363,21 @@ void run(sweep::ExperimentContext& ctx) {
         out, "(g) circuit-level Monte-Carlo vs chain DP",
         "The third protocol implementation, cross-checked: Algorithm 3 run\n"
         "as sampled SWAP-test circuits under the rotation attack, against\n"
-        "the exact coin DP. 'batched' precomputes the coin-conditioned\n"
-        "closed-form test probabilities once (O(r d) total) and replays the\n"
-        "identical draw sequence; 'state_vector' simulates every shot on\n"
-        "the 2d^2-amplitude machine — the pre-batching per-shot baseline,\n"
-        "kept as a perf reference (wall_ms under --timings).");
+        "the exact coin DP. The coin-conditioned closed-form test\n"
+        "probabilities are computed once (O(r d) total) and every shot\n"
+        "replays the circuit's draw sequence against them (the per-shot\n"
+        "state-vector circuit is the reference in circuit_noise_test).");
     const int samples = ctx.smoke_select(4000, 500);
     std::vector<sweep::ParamPoint> points;
     for (const auto& [d, r] :
          ctx.smoke_select(std::vector<std::pair<int, int>>{
                               {16, 4}, {64, 4}, {64, 6}},
                           {{16, 4}, {64, 4}})) {
-      for (const char* strategy : {"batched", "state_vector"}) {
-        points.push_back(sweep::ParamPoint()
-                             .set("d", d)
-                             .set("r", r)
-                             .set("strategy", strategy)
-                             .set("samples", samples));
-      }
+      points.push_back(sweep::ParamPoint()
+                           .set("d", d)
+                           .set("r", r)
+                           .set("strategy", "batched")
+                           .set("samples", samples));
     }
     const auto results = ctx.sweep(
         "circuit_mc", points, [](const sweep::ParamPoint& p, Rng& rng) {
@@ -388,8 +385,7 @@ void run(sweep::ExperimentContext& ctx) {
           const int r = static_cast<int>(p.get_int("r"));
           const int samples = static_cast<int>(p.get_int("samples"));
           // Deterministic inputs (no rng): endpoint overlap 0.3, rotation
-          // attack proof — so both strategies of a (d, r) pair estimate
-          // the same ground-truth acceptance.
+          // attack proof.
           linalg::CVec hx = linalg::CVec::basis(d, 0);
           linalg::CVec hy(d);
           hy[0] = linalg::Complex{0.3, 0.0};
@@ -402,12 +398,8 @@ void run(sweep::ExperimentContext& ctx) {
                 return qtest::swap_test_accept(a, b);
               },
               [&hy](const linalg::CVec& v) { return std::norm(hy.dot(v)); });
-          const auto strategy =
-              p.get_string("strategy") == "batched"
-                  ? protocol::CircuitMcStrategy::kBatched
-                  : protocol::CircuitMcStrategy::kStateVector;
-          const auto est = protocol::circuit_eq_path_accept(
-              hx, hy, proof, rng, samples, strategy);
+          const auto est =
+              protocol::circuit_eq_path_accept(hx, hy, proof, rng, samples);
           return sweep::Metrics()
               .set("dp_accept", dp)
               .set("mc_accept", est.mean)

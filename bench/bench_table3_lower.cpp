@@ -9,9 +9,8 @@
 //     attack (Lemma 53) and the exact engine's entangled-vs-product gap;
 //   rows 5-7 (Thm 63: DISJ / IP / PAND): bound values via the one-sided
 //     smooth discrepancy reductions.
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -25,15 +24,10 @@
 #include "lowerbound/accounting.hpp"
 #include "lowerbound/counting.hpp"
 #include "lowerbound/fooling.hpp"
-#include "quantum/density.hpp"
-#include "quantum/partial_trace.hpp"
-#include "quantum/random.hpp"
 #include "sweep/registry.hpp"
 #include "util/bitstring.hpp"
 #include "util/rng.hpp"
-#include "util/scratch.hpp"
 #include "util/table.hpp"
-#include "util/tolerance.hpp"
 
 namespace dqma::bench {
 namespace {
@@ -395,18 +389,11 @@ void run(sweep::ExperimentContext& ctx) {
         "deterministic Lanczos engine needs a fraction of the operator\n"
         "applications. Matvec counts are exact integers (level- and\n"
         "thread-invariant by the determinism contract).");
-    std::vector<sweep::ParamPoint> all_points;
-    for (const int r : {2, 3, 4, 5}) {
-      all_points.push_back(sweep::ParamPoint().set("d", 2).set("r", r));
-    }
+    std::vector<sweep::ParamPoint> points;
     for (const auto& [d, r] :
-         {std::pair{4, 4}, std::pair{6, 4}, std::pair{4, 5}}) {
-      all_points.push_back(sweep::ParamPoint().set("d", d).set("r", r));
+         {std::pair{2, 2}, std::pair{2, 3}, std::pair{6, 4}}) {
+      points.push_back(sweep::ParamPoint().set("d", d).set("r", r));
     }
-    const auto points = ctx.smoke_select(
-        all_points, {sweep::ParamPoint().set("d", 2).set("r", 2),
-                     sweep::ParamPoint().set("d", 2).set("r", 3),
-                     sweep::ParamPoint().set("d", 6).set("r", 4)});
     const auto results = ctx.serial_sweep(
         "eigensolver_agreement", points,
         [](const sweep::ParamPoint& p, Rng&) {
@@ -456,118 +443,6 @@ void run(sweep::ExperimentContext& ctx) {
                      Table::fmt(m.get_int("lanczos_matvecs")),
                      Table::fmt(m.get_int("power_matvecs")),
                      Table::fmt(ratio, 1)});
-    }
-    table.print(out);
-  }
-
-  {
-    util::print_banner(
-        out, "Tiled density passes: a mixed state past the dense wall",
-        "A diagonal mixed state pushed through apply / expectation /\n"
-        "reduce_to with closed-form cross-checks. The 2^15 point runs only\n"
-        "when scratch is enabled (--scratch or DQMA_SCRATCH_DIR): the\n"
-        "density then tiles through a memory-mapped scratch file. In-core\n"
-        "points produce bit-identical values either way (the contract\n"
-        "tests/tiled_density_test.cpp pins byte for byte).");
-    std::vector<sweep::ParamPoint> all_points;
-    for (const int n : {10, 15}) {
-      all_points.push_back(sweep::ParamPoint().set("qubits", n));
-    }
-    const auto points = ctx.smoke_select(
-        all_points, {sweep::ParamPoint().set("qubits", 10)});
-    const auto results = ctx.serial_sweep(
-        "tiled_density", points, [](const sweep::ParamPoint& p, Rng& rng) {
-          const int n = static_cast<int>(p.get_int("qubits"));
-          const long long dim = 1LL << n;
-          sweep::Metrics metrics;
-          if (dim > util::kMaxDenseExactDim && !util::ScratchTile::enabled()) {
-            return metrics.set("completed", false)
-                .set("tiled", false)
-                .set("expectation", 0.0)
-                .set("expectation_error", 0.0)
-                .set("reduced_error", 0.0);
-          }
-          try {
-          std::vector<double> probs(static_cast<std::size_t>(dim));
-          double sum = 0.0;
-          for (long long i = 0; i < dim; ++i) {
-            probs[static_cast<std::size_t>(i)] =
-                1.0 + 0.5 * std::cos(0.001 * static_cast<double>(i));
-            sum += probs[static_cast<std::size_t>(i)];
-          }
-          for (double& prob : probs) prob /= sum;
-          const quantum::RegisterShape shape(
-              std::vector<int>(static_cast<std::size_t>(n), 2));
-          // Whenever scratch is on, force the tiled path even for in-core
-          // dims so the point exercises the mmap pass; values are
-          // bit-identical either way by the storage contract.
-          std::unique_ptr<quantum::TiledDensityScope> scope;
-          if (util::ScratchTile::enabled()) {
-            scope = std::make_unique<quantum::TiledDensityScope>(0);
-          }
-          quantum::Density rho = quantum::Density::diagonal(shape, probs);
-          const linalg::CMat u = quantum::haar_unitary(4, rng);
-          rho.apply(u, {0, 1});
-          linalg::CMat effect(4, 4);
-          effect(0, 0) = linalg::Complex{1.0, 0.0};
-          const double measured = rho.expectation(effect, {0, 1});
-          // Closed form: tr((E tensor I) U rho U^dagger) for diagonal rho
-          // is sum_i p_i M(a(i), a(i)) with M = U^dagger E U and a(i) the
-          // block index of registers {0, 1} (the high-order qubits).
-          const linalg::CMat m = u.adjoint() * effect * u;
-          double reference = 0.0;
-          std::vector<double> block_sums(4, 0.0);
-          for (long long i = 0; i < dim; ++i) {
-            const auto block = static_cast<std::size_t>(i >> (n - 2));
-            reference += probs[static_cast<std::size_t>(i)] *
-                         m(static_cast<int>(block), static_cast<int>(block))
-                             .real();
-            block_sums[block] += probs[static_cast<std::size_t>(i)];
-          }
-          // Reducing to registers {0, 1} gives U diag(block sums) U^dagger.
-          const quantum::Density reduced = quantum::reduce_to(rho, {0, 1});
-          linalg::CMat diag(4, 4);
-          for (int a = 0; a < 4; ++a) {
-            diag(a, a) =
-                linalg::Complex{block_sums[static_cast<std::size_t>(a)], 0.0};
-          }
-          const linalg::CMat expected = (u * diag).times_adjoint(u);
-          double reduced_error = 0.0;
-          for (int a = 0; a < 4; ++a) {
-            for (int b = 0; b < 4; ++b) {
-              reduced_error = std::max(
-                  reduced_error,
-                  std::abs(reduced.matrix()(a, b) - expected(a, b)));
-            }
-          }
-          return metrics.set("completed", true)
-              .set("tiled", rho.tiled())
-              .set("expectation", measured)
-              .set("expectation_error", std::abs(measured - reference))
-              .set("reduced_error", reduced_error);
-          } catch (const util::ScratchAllocationError& e) {
-            // Scratch configured but unusable (ENOSPC): only this job fails;
-            // the rest of the sweep — and the run — continues.
-            std::fprintf(stderr, "tiled_density qubits=%d: %s\n", n, e.what());
-            return metrics.set("completed", false)
-                .set("tiled", false)
-                .set("expectation", 0.0)
-                .set("expectation_error", 0.0)
-                .set("reduced_error", 0.0);
-          }
-        });
-    Table table({"qubits", "dim", "completed", "tiled", "tr(E U rho U+)",
-                 "closed-form err", "reduce_to err"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (results[i].skipped) continue;
-      const auto& m = results[i].metrics;
-      const int n = static_cast<int>(points[i].get_int("qubits"));
-      table.add_row({Table::fmt(n), Table::fmt(1LL << n),
-                     m.get_bool("completed") ? "yes" : "no (needs --scratch)",
-                     m.get_bool("tiled") ? "yes" : "no",
-                     Table::fmt(m.get_double("expectation")),
-                     Table::fmt(m.get_double("expectation_error")),
-                     Table::fmt(m.get_double("reduced_error"))});
     }
     table.print(out);
   }

@@ -14,7 +14,6 @@ void register_all_experiments() {
     register_ablations();
     register_robustness();
     register_exp_topology();
-    register_micro();
     return true;
   }();
   (void)registered;

@@ -1,15 +1,13 @@
-// Registration entry points for every bench/ experiment. Each legacy
-// bench_<name>.cpp now defines register_<name>() (the table harness body
-// wrapped as a sweep::Experiment); the driver and the compatibility shims
-// call register_all_experiments() before dispatching through
-// sweep::cli_main.
+// Registration entry points for every bench/ experiment. Each
+// bench_<name>.cpp defines register_<name>() (the table harness body
+// wrapped as a sweep::Experiment); dqma_bench calls
+// register_all_experiments() before dispatching through sweep::cli_main.
 #pragma once
 
 namespace dqma::bench {
 
 void register_ablations();
 void register_exp_topology();
-void register_micro();
 void register_robustness();
 void register_table1_fgnp();
 void register_table2_eq();

@@ -1,15 +1,17 @@
-// Circuit-level simulation of the EQ path protocol (Algorithm 3): one
-// repetition executed as an actual quantum circuit on a state-vector
-// machine — ancilla + Hadamard + controlled-SWAP + measurement for every
-// SWAP test (Algorithm 1 verbatim), explicit symmetrization coins, and a
-// projective final measurement.
+// Circuit-level Monte-Carlo of the EQ path protocol (Algorithm 3): one
+// repetition sampled shot by shot — symmetrization coins, one SWAP-test
+// outcome per node (Algorithm 1), and a projective final measurement.
 //
 // This is the third, fully independent implementation of the protocol's
 // semantics (next to the closed-form coin DP of runner.hpp and the
 // acceptance-operator engine of exact_runner.hpp); the three are
-// cross-checked in tests. It is Monte-Carlo (samples coins and measurement
-// outcomes) and exponential in the register count, so it runs on small
-// fingerprint dimensions only — exactly its purpose.
+// cross-checked in tests. Each node's four coin-conditioned SWAP-test
+// acceptance probabilities are computed once via the closed form
+// Pr[0] = (1 + |<a|b>|^2) / 2 — O(inner * d) total — and every shot is then
+// O(inner) coin flips and table lookups. tests/circuit_noise_test.cpp keeps
+// the per-shot state-vector circuit (ancilla + Hadamard + controlled-SWAP +
+// measurement) as the reference: it draws in the same order, so from one
+// seed both walk the same sample paths.
 #pragma once
 
 #include "dqma/model.hpp"
@@ -18,34 +20,19 @@
 
 namespace dqma::protocol {
 
-/// How the Monte-Carlo estimate executes each shot.
-enum class CircuitMcStrategy {
-  /// Full state-vector machine per shot: ancilla + Hadamards +
-  /// controlled-SWAP + measurement, O(inner * d^2) per shot. The reference
-  /// implementation.
-  kStateVector,
-  /// Precompute-then-sample: each node's four coin-conditioned SWAP-test
-  /// acceptance probabilities are computed ONCE via the closed form
-  /// Pr[0] = (1 + |<a|b>|^2) / 2 — O(inner * d) total — and every shot is
-  /// then O(inner) coin flips and table lookups. The RNG draw order is
-  /// identical to kStateVector (coin, acceptance draw per node, final
-  /// Bernoulli), so both strategies walk the same sample paths; only
-  /// ulp-level rounding of the per-test probabilities differs.
-  kBatched,
-};
-
 /// Simulates `samples` runs of one repetition of Algorithm 3 at circuit
 /// level and returns the empirical acceptance probability.
 ///
 /// * `source`: the state v_0 sends (e.g. |h_x>);
 /// * `target`: v_r's reference state (accept projector |h_y><h_y|);
 /// * `proof`: the intermediate nodes' registers (product proof).
-/// The total simulated system holds 2(r-1)+2 registers of the proof
-/// dimension plus one ancilla qubit (reused); dimensions are capped by the
+/// Draw order per shot: a coin and an acceptance draw per node up to the
+/// first rejection, then the final Bernoulli. The dimension is capped so a
+/// SWAP-test circuit (one ancilla qubit and two d-registers) fits the
 /// exact-engine limit.
-MonteCarloEstimate circuit_eq_path_accept(
-    const linalg::CVec& source, const linalg::CVec& target,
-    const PathProof& proof, util::Rng& rng, int samples,
-    CircuitMcStrategy strategy = CircuitMcStrategy::kBatched);
+MonteCarloEstimate circuit_eq_path_accept(const linalg::CVec& source,
+                                          const linalg::CVec& target,
+                                          const PathProof& proof,
+                                          util::Rng& rng, int samples);
 
 }  // namespace dqma::protocol

@@ -1,259 +1,43 @@
 #include "quantum/density.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "quantum/local_ops.hpp"
-#include "sweep/parallel.hpp"
 #include "util/require.hpp"
-#include "util/scratch.hpp"
 #include "util/tolerance.hpp"
 
 namespace dqma::quantum {
 
 using util::require;
 
-namespace {
-
-/// Dimensions above this threshold go to tiled storage (when scratch is
-/// enabled). Thread-local so TiledDensityScope can force small densities
-/// onto the tiled path in tests without perturbing other threads.
-thread_local long long g_tile_threshold = util::kMaxDenseExactDim;
-
-/// The dense-dimension guard in effect: the classic in-core cap, raised to
-/// the tiled cap when the scratch opt-in is active.
-long long dense_cap() {
-  return util::ScratchTile::enabled() ? util::kMaxTiledDenseDim
-                                      : util::kMaxDenseExactDim;
-}
-
-bool wants_tile(long long d) {
-  return util::ScratchTile::enabled() && d > g_tile_threshold;
-}
-
-std::unique_ptr<util::ScratchTile> make_tile(long long d) {
-  return std::make_unique<util::ScratchTile>(d * d *
-                                             static_cast<long long>(sizeof(Complex)));
-}
-
-/// Tile allocation with graceful degradation: when the scratch directory is
-/// configured but cannot hold the tile (ENOSPC, quota), densities that still
-/// fit the in-core cap silently fall back to resident storage (the two
-/// layouts are byte-identical by the tiled-density gates); larger densities
-/// rethrow so only the single job fails, with a diagnostic naming the dim.
-std::unique_ptr<util::ScratchTile> try_make_tile(long long d) {
-  try {
-    return make_tile(d);
-  } catch (const util::ScratchAllocationError& e) {
-    if (d > util::kMaxDenseExactDim) {
-      throw util::ScratchAllocationError(
-          std::string(e.what()) + " — dim " + std::to_string(d) +
-          " exceeds the in-core cap kMaxDenseExactDim, so this job cannot "
-          "fall back to resident storage; the job fails, the run continues");
-    }
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "dqma: %s; falling back to in-core density storage\n",
-                   e.what());
-    }
-    return nullptr;
-  }
-}
-
-Complex* tile_data(util::ScratchTile& tile) {
-  return static_cast<Complex*>(tile.data());
-}
-
-}  // namespace
-
-TiledDensityScope::TiledDensityScope(long long threshold)
-    : prev_(g_tile_threshold) {
-  g_tile_threshold = threshold;
-}
-
-TiledDensityScope::~TiledDensityScope() { g_tile_threshold = prev_; }
-
-Density::~Density() = default;
-
-Density::Density(const Density& other) : shape_(other.shape_) {
-  if (other.tile_ != nullptr) {
-    const long long d = shape_.total_dim();
-    tile_ = try_make_tile(d);
-    if (tile_ != nullptr) {
-      std::memcpy(tile_->data(), other.tile_->data(),
-                  static_cast<std::size_t>(tile_->size_bytes()));
-    } else {
-      const Complex* src = tile_data(*other.tile_);
-      CMat rho(static_cast<int>(d), static_cast<int>(d));
-      for (long long i = 0; i < d; ++i) {
-        for (long long j = 0; j < d; ++j) {
-          rho(static_cast<int>(i), static_cast<int>(j)) = src[i * d + j];
-        }
-      }
-      rho_ = std::move(rho);
-    }
-  } else {
-    rho_ = other.rho_;
-  }
-}
-
-Density& Density::operator=(const Density& other) {
-  if (this != &other) {
-    Density copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
-}
-
-const CMat& Density::matrix() const {
-  require(tile_ == nullptr,
-          "Density::matrix: density is tile-backed (out-of-core); this "
-          "consumer needs the in-core path — use view() instead");
-  return rho_;
-}
-
-linalg::MutComplexView Density::view() {
-  const long long d = shape_.total_dim();
-  if (tile_ != nullptr) {
-    return linalg::MutComplexView::aos(tile_data(*tile_), d * d, d);
-  }
-  return linalg::MutComplexView(rho_);
-}
-
-linalg::ConstComplexView Density::view() const {
-  const long long d = shape_.total_dim();
-  if (tile_ != nullptr) {
-    return linalg::ConstComplexView::aos(tile_data(*tile_), d * d, d);
-  }
-  return linalg::ConstComplexView(rho_);
-}
-
 Density Density::maximally_mixed(RegisterShape shape) {
   const long long d = shape.total_dim();
-  require(d <= dense_cap(),
-          "Density: dimension exceeds the dense-engine cap (enable the "
-          "scratch opt-in — --scratch / DQMA_SCRATCH_DIR — for the tiled "
-          "path up to kMaxTiledDenseDim)");
-  if (wants_tile(d)) {
-    if (auto tile = try_make_tile(d)) {
-      Density out;
-      out.shape_ = std::move(shape);
-      out.tile_ = std::move(tile);
-      Complex* data = tile_data(*out.tile_);
-      const Complex p = Complex{1.0, 0.0} * Complex{1.0 / static_cast<double>(d), 0.0};
-      for (long long i = 0; i < d; ++i) {
-        data[i * d + i] = p;  // off-diagonal pages stay zero-filled holes
-      }
-      return out;
-    }
-  }
+  require(d <= util::kMaxDenseExactDim,
+          "Density: dimension exceeds the dense-engine cap");
   CMat rho = CMat::identity(static_cast<int>(d));
   rho *= Complex{1.0 / static_cast<double>(d), 0.0};
   return Density(std::move(shape), std::move(rho));
 }
 
-Density Density::diagonal(RegisterShape shape,
-                          const std::vector<double>& probs) {
-  const long long d = shape.total_dim();
-  require(static_cast<long long>(probs.size()) == d,
-          "Density::diagonal: probability vector does not match shape");
-  require(d <= dense_cap(),
-          "Density: dimension exceeds the dense-engine cap (enable the "
-          "scratch opt-in — --scratch / DQMA_SCRATCH_DIR — for the tiled "
-          "path up to kMaxTiledDenseDim)");
-  double sum = 0.0;
-  for (const double p : probs) {
-    require(p >= 0.0, "Density::diagonal: negative probability");
-    sum += p;
-  }
-  require(std::abs(sum - 1.0) < 1e-9, "Density::diagonal: trace is not 1");
-  if (wants_tile(d)) {
-    if (auto tile = try_make_tile(d)) {
-      Density out;
-      out.shape_ = std::move(shape);
-      out.tile_ = std::move(tile);
-      Complex* data = tile_data(*out.tile_);
-      for (long long i = 0; i < d; ++i) {
-        data[i * d + i] = Complex{probs[static_cast<std::size_t>(i)], 0.0};
-      }
-      return out;
-    }
-  }
-  CMat rho(static_cast<int>(d), static_cast<int>(d));
-  for (long long i = 0; i < d; ++i) {
-    rho(static_cast<int>(i), static_cast<int>(i)) =
-        Complex{probs[static_cast<std::size_t>(i)], 0.0};
-  }
-  Density out;
-  out.shape_ = std::move(shape);
-  out.rho_ = std::move(rho);
-  return out;
-}
-
 Density Density::from_pure(const PureState& psi) {
-  const long long d = psi.shape().total_dim();
-  if (wants_tile(d)) {
-    require(d <= dense_cap(), "Density: dimension exceeds the dense-engine cap");
-    auto tile = try_make_tile(d);
-    if (tile == nullptr) {
-      return Density(psi.shape(), CMat::projector(psi.amplitudes()));
-    }
-    const CVec& amps = psi.amplitudes();
-    Density out;
-    out.shape_ = psi.shape();
-    out.tile_ = std::move(tile);
-    Complex* data = tile_data(*out.tile_);
-    // Same elementwise expression (and zero-skip) as CMat::outer, streamed
-    // by row panels: byte-identical to the in-core projector.
-    sweep::parallel_for(
-        static_cast<std::size_t>(d), sweep::grain_for_ops(static_cast<std::size_t>(d)),
-        [&](std::size_t i_begin, std::size_t i_end) {
-          for (std::size_t i = i_begin; i < i_end; ++i) {
-            const Complex ui = amps[static_cast<int>(i)];
-            if (ui == Complex{0.0, 0.0}) continue;
-            Complex* row = data + static_cast<long long>(i) * d;
-            for (long long j = 0; j < d; ++j) {
-              row[j] = ui * std::conj(amps[static_cast<int>(j)]);
-            }
-          }
-        });
-    return out;
-  }
   return Density(psi.shape(), CMat::projector(psi.amplitudes()));
 }
 
 Density::Density(RegisterShape shape, CMat rho)
     : shape_(std::move(shape)), rho_(std::move(rho)) {
   const long long d = shape_.total_dim();
-  require(d <= dense_cap(),
-          "Density: dimension exceeds the dense-engine cap (enable the "
-          "scratch opt-in — --scratch / DQMA_SCRATCH_DIR — for the tiled "
-          "path up to kMaxTiledDenseDim)");
+  require(d <= util::kMaxDenseExactDim,
+          "Density: dimension exceeds the dense-engine cap");
   require(rho_.rows() == d && rho_.cols() == d,
           "Density: matrix does not match shape");
   require(rho_.is_hermitian(1e-7), "Density: matrix not Hermitian");
   require(std::abs(rho_.trace().real() - 1.0) < 1e-6 &&
               std::abs(rho_.trace().imag()) < 1e-7,
           "Density: trace is not 1");
-  if (wants_tile(d)) {
-    // Already resident: a failed tile allocation just keeps the in-core copy.
-    tile_ = try_make_tile(d);
-    if (tile_ != nullptr) {
-      std::memcpy(tile_->data(), &rho_(0, 0),
-                  static_cast<std::size_t>(tile_->size_bytes()));
-      rho_ = CMat();
-    }
-  }
 }
 
 Density Density::tensor(const Density& other) const {
-  require(tile_ == nullptr && other.tile_ == nullptr,
-          "Density::tensor: tile-backed operands are not supported (the "
-          "product would square an already out-of-core dimension)");
   std::vector<int> dims;
   dims.reserve(shape_.dims().size() + other.shape_.dims().size());
   dims.insert(dims.end(), shape_.dims().begin(), shape_.dims().end());
@@ -292,46 +76,25 @@ CMat embed_operator(const RegisterShape& shape, const CMat& op,
 
 void Density::apply(const CMat& u, const std::vector<int>& regs) {
   const LocalOpPlan plan(shape_, regs);
-  sandwich_local(plan, u, view());
+  sandwich_local(plan, u, rho_);
 }
 
 void Density::mix_with(const Density& other, double p_this) {
   require(shape_ == other.shape_, "Density::mix_with: shape mismatch");
   require(p_this >= 0.0 && p_this <= 1.0,
           "Density::mix_with: probability out of range");
-  const Complex w_this{p_this, 0.0};
-  const Complex w_other{1.0 - p_this, 0.0};
-  if (tile_ == nullptr && other.tile_ == nullptr) {
-    rho_.blend(other.rho_, w_this, w_other);
-    return;
-  }
-  // Tiled blend: the same elementwise expression as CMat::blend, streamed
-  // by row panels (disjoint writes — thread-count invariant bytes).
-  const long long d = shape_.total_dim();
-  linalg::MutComplexView dst = view();
-  const linalg::ConstComplexView src = other.view();
-  sweep::parallel_for(
-      static_cast<std::size_t>(d), sweep::grain_for_ops(static_cast<std::size_t>(d)),
-      [&](std::size_t i_begin, std::size_t i_end) {
-        for (std::size_t i = i_begin; i < i_end; ++i) {
-          const long long base = static_cast<long long>(i) * d;
-          for (long long j = 0; j < d; ++j) {
-            dst.store(base + j,
-                      w_this * dst.load(base + j) + w_other * src.load(base + j));
-          }
-        }
-      });
+  rho_.blend(other.rho_, Complex{p_this, 0.0}, Complex{1.0 - p_this, 0.0});
 }
 
 double Density::expectation(const CMat& effect,
                             const std::vector<int>& regs) const {
   const LocalOpPlan plan(shape_, regs);
-  return expectation_local(plan, effect, view());
+  return expectation_local(plan, effect, rho_);
 }
 
 double Density::project(const CMat& effect, const std::vector<int>& regs) {
   const LocalOpPlan plan(shape_, regs);
-  return project_local(plan, effect, view());
+  return project_local(plan, effect, rho_);
 }
 
 }  // namespace dqma::quantum

@@ -1,26 +1,13 @@
 // Density operators over register lists: the state representation of the
 // exact protocol engine (arbitrary, possibly entangled proofs; mixed states
-// arising from measurement and symmetrization).
-//
-// Storage is either an in-core CMat (dimensions up to kMaxDenseExactDim,
-// exactly as before) or — above that, behind the scratch opt-in
-// (util/scratch.hpp) — a memory-mapped ScratchTile holding the same
-// row-major AoS layout up to kMaxTiledDenseDim. Every dense pass
-// (sandwich_local, expectation_local, project_local, partial_trace) already
-// streams row panels through ComplexView, so both storages feed the
-// identical kernels and the tiled path is byte-identical to the in-core one.
+// arising from measurement and symmetrization). Storage is an in-core CMat,
+// capped at kMaxDenseExactDim.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "linalg/complex_view.hpp"
 #include "linalg/matrix.hpp"
 #include "quantum/state.hpp"
-
-namespace dqma::util {
-class ScratchTile;
-}
 
 namespace dqma::quantum {
 
@@ -39,20 +26,9 @@ CMat embed_operator(const RegisterShape& shape, const CMat& op,
 class Density {
  public:
   Density() = default;
-  Density(const Density& other);
-  Density& operator=(const Density& other);
-  Density(Density&&) noexcept = default;
-  Density& operator=(Density&&) noexcept = default;
-  ~Density();
 
   /// Maximally mixed state over the shape.
   static Density maximally_mixed(RegisterShape shape);
-
-  /// Diagonal (classical) mixture: rho = diag(probs). Probabilities must be
-  /// nonnegative and sum to 1. The cheap O(D) constructor for big mixed
-  /// states — the natural entry point for the tiled path.
-  static Density diagonal(RegisterShape shape,
-                          const std::vector<double>& probs);
 
   /// |psi><psi| for a pure state.
   static Density from_pure(const PureState& psi);
@@ -61,21 +37,9 @@ class Density {
   Density(RegisterShape shape, CMat rho);
 
   const RegisterShape& shape() const { return shape_; }
+  const CMat& matrix() const { return rho_; }
 
-  /// The in-core matrix. Throws when the density is tile-backed — dense
-  /// consumers that need a CMat (trace distance, fidelity, swap tests) are
-  /// in-core-only by design; streaming passes use view().
-  const CMat& matrix() const;
-
-  /// True when the matrix lives in a memory-mapped scratch tile.
-  bool tiled() const { return tile_ != nullptr; }
-
-  /// Matrix-shaped view of the storage (in-core or tiled alike) — what the
-  /// local-operator kernels and partial_trace consume.
-  linalg::MutComplexView view();
-  linalg::ConstComplexView view() const;
-
-  /// Tensor product (register lists concatenate). In-core operands only.
+  /// Tensor product (register lists concatenate).
   Density tensor(const Density& other) const;
 
   /// Applies a unitary on the listed registers: rho <- U rho U^dagger.
@@ -95,25 +59,7 @@ class Density {
 
  private:
   RegisterShape shape_;
-  CMat rho_;                                 ///< in-core storage
-  std::unique_ptr<util::ScratchTile> tile_;  ///< tiled storage (exclusive)
-};
-
-/// RAII override (thread-local) of the dimension threshold above which a
-/// Density is placed in a ScratchTile instead of an in-core CMat. The
-/// default threshold is kMaxDenseExactDim, so in-core behavior is unchanged;
-/// tests and benchmarks lower it to force small densities through the tiled
-/// path and pin tiled == in-core byte identity. Scratch must be enabled for
-/// the override to have any effect.
-class TiledDensityScope {
- public:
-  explicit TiledDensityScope(long long threshold);
-  ~TiledDensityScope();
-  TiledDensityScope(const TiledDensityScope&) = delete;
-  TiledDensityScope& operator=(const TiledDensityScope&) = delete;
-
- private:
-  long long prev_;
+  CMat rho_;
 };
 
 }  // namespace dqma::quantum

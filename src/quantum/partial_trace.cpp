@@ -60,10 +60,7 @@ Density reduce_to(const Density& rho, const std::vector<int>& kept) {
   const auto& traced_off = plan.free_offsets();
 
   CMat out(static_cast<int>(out_dim), static_cast<int>(out_dim));
-  // Layout-agnostic view over the full density (flat strided gathers, so
-  // the kernel never names the storage layout — in-core and tile-backed
-  // densities reduce through the same gather loop).
-  const linalg::ConstComplexView full = rho.view();
+  const linalg::ConstComplexView full(rho.matrix());
   const long long full_cols = full.cols();
   // Output rows are independent (each entry one serial diagonal sum), so
   // row panels run in parallel with thread-count-invariant values.

@@ -18,7 +18,6 @@
 #include "linalg/simd.hpp"
 #include "sweep/trajectory.hpp"
 #include "util/require.hpp"
-#include "util/scratch.hpp"
 #include "util/table.hpp"
 
 namespace dqma::sweep {
@@ -215,39 +214,19 @@ void ExperimentContext::skip_record(const std::string& series) {
   ++next_order_;
 }
 
-bool ExperimentContext::owns_next_record(const std::string& series) const {
-  const auto it = record_counts_.find(series);
-  const std::uint64_t index = it == record_counts_.end() ? 0 : it->second;
-  return claim(next_order_, util::derive_seed(series_seed(series), index),
-               nullptr)
-      .mine;
-}
-
-util::Rng ExperimentContext::series_rng(const std::string& series) const {
-  return util::Rng(series_seed(series));
-}
-
-util::Rng ExperimentContext::point_rng(const std::string& series,
-                                       std::size_t index) const {
-  return util::Rng(util::derive_seed(series_seed(series), index));
-}
-
 namespace {
 
-void print_usage(std::ostream& os, const char* forced_experiment) {
+void print_usage(std::ostream& os) {
   os << "Usage: dqma_bench [options]\n\n"
-        "Options:\n";
-  if (forced_experiment == nullptr) {
-    os << "  --experiment <name|all>  experiment(s) to run (repeatable; "
-          "default all)\n"
-          "  --list                   list registered experiments and exit\n";
-  }
-  os << "  --json <path>            write structured results (schema v1); "
+        "Options:\n"
+        "  --experiment <name|all>  experiment(s) to run (repeatable; "
+        "default all)\n"
+        "  --list                   list registered experiments and exit\n"
+        "  --json <path>            write structured results (schema v1); "
         "'-' for stdout\n"
         "  --threads <N>            sweep threads (default: hardware "
         "concurrency)\n"
-        "  --smoke                  shrink heavy sweeps (same as "
-        "DQMA_BENCH_SMOKE=1)\n"
+        "  --smoke                  shrink heavy sweeps\n"
         "  --seed <N>               global base seed (default 0)\n"
         "  --timings                include nondeterministic wall_ms fields "
         "in JSON\n"
@@ -276,17 +255,11 @@ void print_usage(std::ostream& os, const char* forced_experiment) {
         "avx512|native\n"
         "                           (default: DQMA_SIMD env var, else CPU "
         "detection)\n"
-        "  --scratch <dir>          enable memory-mapped scratch tiles in "
-        "<dir>,\n"
-        "                           unlocking dense density passes past the "
-        "in-core\n"
-        "                           cap (default: DQMA_SCRATCH_DIR env var, "
-        "else off)\n"
         "  --help                   this message\n";
 }
 
-bool parse_cli(int argc, const char* const* argv, bool allow_select,
-               CliOptions& options, std::string& error) {
+bool parse_cli(int argc, const char* const* argv, CliOptions& options,
+               std::string& error) {
   bool merge_mode = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -297,13 +270,13 @@ bool parse_cli(int argc, const char* const* argv, bool allow_select,
       }
       return argv[++i];
     };
-    if (arg == "--experiment" && allow_select) {
+    if (arg == "--experiment") {
       const char* value = next_value("--experiment");
       if (value == nullptr) return false;
       if (std::strcmp(value, "all") != 0) {
         options.experiments.emplace_back(value);
       }
-    } else if (arg == "--list" && allow_select) {
+    } else if (arg == "--list") {
       options.list_only = true;
     } else if (arg == "--json") {
       const char* value = next_value("--json");
@@ -333,10 +306,6 @@ bool parse_cli(int argc, const char* const* argv, bool allow_select,
       const char* value = next_value("--resume");
       if (value == nullptr) return false;
       options.resume_path = value;
-    } else if (arg == "--scratch") {
-      const char* value = next_value("--scratch");
-      if (value == nullptr) return false;
-      options.scratch = value;
     } else if (arg == "--simd") {
       const char* value = next_value("--simd");
       if (value == nullptr) return false;
@@ -490,20 +459,16 @@ int run_merge(const CliOptions& options) {
 
 }  // namespace
 
-int cli_main(int argc, const char* const* argv,
-             const char* forced_experiment) {
+int cli_main(int argc, const char* const* argv) {
   CliOptions options;
-  // Compatibility with the CTest bench-smoke harness environment.
-  options.smoke = std::getenv("DQMA_BENCH_SMOKE") != nullptr;
-
   std::string error;
-  if (!parse_cli(argc, argv, forced_experiment == nullptr, options, error)) {
+  if (!parse_cli(argc, argv, options, error)) {
     if (error == "help") {
-      print_usage(std::cout, forced_experiment);
+      print_usage(std::cout);
       return 0;
     }
     std::cerr << "dqma_bench: " << error << "\n";
-    print_usage(std::cerr, forced_experiment);
+    print_usage(std::cerr);
     return 2;
   }
   if (!validate_options(options, error)) {
@@ -519,13 +484,6 @@ int cli_main(int argc, const char* const* argv,
     std::cerr << "dqma_bench: " << e.what() << "\n";
     return 2;
   }
-  // Scratch opt-in for tiled density passes: the flag wins over the
-  // DQMA_SCRATCH_DIR environment variable (which ScratchTile reads lazily
-  // when no override is set).
-  if (!options.scratch.empty()) {
-    util::ScratchTile::set_directory(options.scratch);
-  }
-
   if (!options.merge_inputs.empty()) {
     try {
       return run_merge(options);
@@ -533,10 +491,6 @@ int cli_main(int argc, const char* const* argv,
       std::cerr << "dqma_bench: " << e.what() << "\n";
       return 1;
     }
-  }
-
-  if (forced_experiment != nullptr) {
-    options.experiments = {forced_experiment};
   }
 
   if (options.list_only) {

@@ -1,7 +1,6 @@
 // The experiment registry behind the unified `dqma_bench` driver: every
 // bench/ table harness registers itself here as a named experiment, and
-// both the driver and the per-experiment compatibility shims run them
-// through the same cli_main.
+// the driver runs them through cli_main.
 //
 // Seed namespacing: every experiment gets base seed
 // derive_seed(global_seed, fnv1a64(name)), and every sweep within it
@@ -86,9 +85,9 @@ void register_experiment(Experiment experiment);
 /// All registered experiments, in registration order.
 const std::vector<Experiment>& experiments();
 
-/// Everything an experiment body needs: the smoke switch, the shared
-/// thread pool, the output stream for ASCII tables, and recording into the
-/// sink (directly or via parallel sweeps).
+/// Everything an experiment body needs: the smoke switch, the output
+/// stream for ASCII tables, and recording into the sink (directly or via
+/// sweeps on the shared thread pool).
 class ExperimentContext {
  public:
   ExperimentContext(const Experiment& experiment, ThreadPool& pool,
@@ -97,16 +96,11 @@ class ExperimentContext {
                     const RunControls* controls = nullptr);
 
   bool smoke() const { return smoke_; }
-  ThreadPool& pool() { return pool_; }
   std::ostream& out() { return out_; }
   std::uint64_t base_seed() const { return base_seed_; }
-  /// True when this run executes one shard of the job space; bodies may
-  /// use it to skip shard-incomplete cosmetics (never to change any
-  /// recorded value).
-  bool sharded() const { return controls_.shard.active(); }
 
   /// smoke() ? smoke_variant : full — mirrors util::smoke_select but keyed
-  /// off the context (the driver's --smoke flag or DQMA_BENCH_SMOKE).
+  /// off the context (the driver's --smoke flag).
   template <typename T>
   T smoke_select(T full, T smoke_variant) const {
     return smoke_ ? smoke_variant : full;
@@ -155,20 +149,6 @@ class ExperimentContext {
   /// Declares a point that record_owned() publishes in some other shard:
   /// advances the canonical counters without recording anything.
   void skip_record(const std::string& series);
-
-  /// True when this shard owns the NEXT record() point of `series` — lets
-  /// hand-rolled serial loops skip COMPUTING points another shard records
-  /// (call skip_record() for those to keep the numbering aligned).
-  bool owns_next_record(const std::string& series) const;
-
-  /// Rng for ad-hoc serial draws, seeded from the series namespace; stable
-  /// across runs and independent of other series.
-  util::Rng series_rng(const std::string& series) const;
-
-  /// Rng of point `index` of a series, seeded exactly like sweep() seeds
-  /// job `index` — a series can switch between pooled sweep jobs and a
-  /// serial kernel-parallel loop without reshuffling any recorded value.
-  util::Rng point_rng(const std::string& series, std::size_t index) const;
 
  private:
   /// Where one point's result comes from in this process: run it here
@@ -232,15 +212,11 @@ struct CliOptions {
   std::string compare_path;               ///< baseline document
   double tolerance = 1e-9;                ///< --compare floating tolerance
   std::string simd;  ///< SIMD level override; empty => DQMA_SIMD / native
-  std::string scratch;  ///< scratch dir for tiled passes; empty => env var
 };
 
-/// Shared driver main: parses argv, runs the selected experiments, writes
-/// JSON when requested, prints a per-experiment wall-time summary. When
-/// `forced_experiment` is non-null the binary is a compatibility shim: it
-/// runs exactly that experiment and accepts the same flags except
-/// --experiment. Returns a process exit code.
-int cli_main(int argc, const char* const* argv,
-             const char* forced_experiment = nullptr);
+/// Driver main: parses argv, runs the selected experiments, writes JSON
+/// when requested, prints a per-experiment wall-time summary. Returns a
+/// process exit code.
+int cli_main(int argc, const char* const* argv);
 
 }  // namespace dqma::sweep

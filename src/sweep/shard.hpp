@@ -98,7 +98,6 @@ class CheckpointLog {
 
   /// Committed entries (loaded at open plus appended since).
   std::size_t loaded_entries() const;
-  const std::string& path() const { return path_; }
   /// True when appends are fsync()ed (the default; DQMA_CHECKPOINT_FSYNC=0
   /// disables). False also on platforms without fsync.
   bool syncing() const { return sync_fd_ >= 0; }

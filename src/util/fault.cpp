@@ -16,7 +16,7 @@ namespace dqma::util::fault {
 
 namespace {
 
-enum class Action { kCrashAfter, kStall, kTornWrite, kEnospc };
+enum class Action { kCrashAfter, kStall, kTornWrite };
 
 struct Rule {
   unsigned site_mask = 0;  // bit per Site; all bits when no site prefix
@@ -24,7 +24,7 @@ struct Rule {
   long long arg = 0;  // crash_after: probe count; stall: milliseconds
 };
 
-constexpr unsigned kAllSites = 0x7u;
+constexpr unsigned kAllSites = 0x3u;
 
 std::atomic<bool> g_armed{false};
 std::vector<Rule> g_rules;                 // written only while disarmed
@@ -34,7 +34,6 @@ std::once_flag g_env_once;
 
 bool parse_site(const std::string& token, unsigned* mask) {
   if (token == "checkpoint") *mask = 1u << static_cast<int>(Site::kCheckpoint);
-  else if (token == "scratch") *mask = 1u << static_cast<int>(Site::kScratch);
   else if (token == "serve") *mask = 1u << static_cast<int>(Site::kServe);
   else return false;
   return true;
@@ -76,8 +75,6 @@ void parse_clause(const std::string& clause, std::vector<Rule>* out) {
     if (rule.arg < 0) rule.arg = 0;
   } else if (action == "torn_write") {
     rule.action = Action::kTornWrite;
-  } else if (action == "enospc") {
-    rule.action = Action::kEnospc;
   } else {
     std::fprintf(stderr, "dqma: unknown DQMA_FAULT action '%s'\n",
                  action.c_str());
@@ -161,25 +158,7 @@ bool should_tear(Site site) {
   return false;
 }
 
-bool should_fail_alloc(Site site) {
-  ensure_parsed();
-  if (!g_armed.load(std::memory_order_acquire)) {
-    return false;
-  }
-  for (const Rule& rule : g_rules) {
-    if (rule.action == Action::kEnospc && site_matches(rule, site)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void crash_now() { ::_exit(137); }
-
-bool armed() {
-  ensure_parsed();
-  return g_armed.load(std::memory_order_acquire);
-}
 
 void reset_for_test(const char* spec) {
   ensure_parsed();  // make sure the env parse is consumed first

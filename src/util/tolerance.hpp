@@ -32,11 +32,4 @@ inline constexpr int kMaxExactDim = 1 << 18;
 /// before the matrix-free engine.
 inline constexpr int kMaxDenseExactDim = 1 << 14;
 
-/// Maximum dimension for dense density operators when the memory-mapped
-/// scratch path is enabled (util/scratch.hpp): storage lives in an unlinked
-/// scratch file streamed through the page cache by row panels, so the bound
-/// is scratch-disk capacity (2^15 is a 16 GiB tile), not resident memory.
-/// Without scratch the guard stays at kMaxDenseExactDim.
-inline constexpr int kMaxTiledDenseDim = 1 << 15;
-
 }  // namespace dqma::util

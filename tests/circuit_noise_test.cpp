@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "dqma/attacks.hpp"
 #include "dqma/circuit_sim.hpp"
@@ -11,16 +12,21 @@
 #include "dqma/exact_runner.hpp"
 #include "dqma/noise.hpp"
 #include "dqma/runner.hpp"
+#include "quantum/local_ops.hpp"
 #include "quantum/random.hpp"
+#include "quantum/unitary.hpp"
 #include "support/test_support.hpp"
 #include "util/bitstring.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+using dqma::linalg::CMat;
+using dqma::linalg::Complex;
 using dqma::linalg::CVec;
 using dqma::protocol::circuit_eq_path_accept;
 using dqma::protocol::EqPathProtocol;
+using dqma::protocol::MonteCarloEstimate;
 using dqma::protocol::NoiseModel;
 using dqma::protocol::noise_threshold;
 using dqma::protocol::noisy_attack_accept;
@@ -33,6 +39,69 @@ using dqma::test::haar_states;
 using dqma::test::random_unequal_pair;
 using dqma::util::Bitstring;
 using dqma::util::Rng;
+
+/// Reference for circuit_eq_path_accept: every shot runs Algorithm 1's
+/// SWAP-test circuit on a state-vector machine over {ancilla, A, B} —
+/// ancilla |0>, H, controlled-SWAP, H, measure — O(inner * d^2) per shot.
+/// Draws: a symmetrization coin and an acceptance draw per node up to the
+/// first rejection, then the final Bernoulli.
+MonteCarloEstimate state_vector_circuit_accept(const CVec& source,
+                                               const CVec& target,
+                                               const PathProof& proof,
+                                               Rng& rng, int samples) {
+  const int d = source.dim();
+  const dqma::quantum::RegisterShape shape({2, d, d});
+  const CMat h = dqma::quantum::hadamard();
+  const dqma::quantum::LocalOpPlan h_plan(shape, {0});
+  const int dd = d * d;
+  CVec amp(2 * dd);
+  const int inner = proof.intermediate_nodes();
+  const auto run_once = [&]() -> double {
+    // `received` travels down the chain; it is always a pure register
+    // disjoint from previously tested pairs.
+    CVec received = source;
+    for (int j = 0; j < inner; ++j) {
+      const bool coin = rng.next_bool(0.5);  // symmetrization (step 3)
+      const CVec& kept = coin ? proof.reg1[static_cast<std::size_t>(j)]
+                              : proof.reg0[static_cast<std::size_t>(j)];
+      const CVec& sent = coin ? proof.reg0[static_cast<std::size_t>(j)]
+                              : proof.reg1[static_cast<std::size_t>(j)];
+      // |0>|received>|kept>: the ancilla-0 block carries the product state.
+      for (int a = 0; a < d; ++a) {
+        for (int b = 0; b < d; ++b) {
+          amp[a * d + b] = received[a] * kept[b];
+        }
+      }
+      for (int x = 0; x < dd; ++x) {
+        amp[dd + x] = Complex{0.0, 0.0};
+      }
+      dqma::quantum::apply_local(h_plan, h, amp);
+      // Controlled-SWAP = identity on the ancilla-0 block, SWAP of the two
+      // d-registers on the ancilla-1 block.
+      for (int a = 0; a < d; ++a) {
+        for (int b = a + 1; b < d; ++b) {
+          std::swap(amp[dd + a * d + b], amp[dd + b * d + a]);
+        }
+      }
+      dqma::quantum::apply_local(h_plan, h, amp);
+      // Pr[ancilla = 0] is the weight of the first block (the ancilla is
+      // the most significant register). The tested pair is consumed either
+      // way, so no collapse is needed.
+      double p0 = 0.0;
+      for (int x = 0; x < dd; ++x) {
+        p0 += std::norm(amp[x]);
+      }
+      if (rng.next_double() >= p0) {
+        return 0.0;  // this node rejects
+      }
+      received = sent;
+    }
+    // v_r: projective measurement {|h_y><h_y|, I - ...}.
+    const double p = std::norm(target.dot(received));
+    return rng.next_bool(p) ? 1.0 : 0.0;
+  };
+  return dqma::protocol::estimate(run_once, samples);
+}
 
 TEST(CircuitSimTest, HonestRunAcceptsAlways) {
   Rng rng(1);
@@ -81,12 +150,11 @@ TEST(CircuitSimTest, MatchesExactEngineOnRotationAttack) {
 }
 
 TEST(CircuitSimTest, BatchedReplaysStateVectorDrawSequence) {
-  // The batched path precomputes the coin-conditioned closed-form test
-  // probabilities but draws in the identical order; from the same seed both
-  // strategies therefore walk the same sample paths, and the means agree to
-  // numerical noise of the per-test probabilities (the probability of a
-  // uniform draw landing inside that window is ~1e-13 per draw).
-  using dqma::protocol::CircuitMcStrategy;
+  // circuit_eq_path_accept precomputes the coin-conditioned closed-form
+  // test probabilities but draws in the reference circuit's order; from the
+  // same seed both therefore walk the same sample paths, and the means
+  // agree to numerical noise of the per-test probabilities (the probability
+  // of a uniform draw landing inside that window is ~1e-13 per draw).
   Rng rng(5);
   for (int trial = 0; trial < 3; ++trial) {
     const CVec source = dqma::quantum::haar_state(5, rng);
@@ -96,10 +164,10 @@ TEST(CircuitSimTest, BatchedReplaysStateVectorDrawSequence) {
     proof.reg1 = haar_states(5, 3, rng);
     Rng rng_sv(1000 + trial);
     Rng rng_batched(1000 + trial);
-    const auto sv = circuit_eq_path_accept(source, target, proof, rng_sv,
-                                           2000, CircuitMcStrategy::kStateVector);
-    const auto batched = circuit_eq_path_accept(
-        source, target, proof, rng_batched, 2000, CircuitMcStrategy::kBatched);
+    const auto sv =
+        state_vector_circuit_accept(source, target, proof, rng_sv, 2000);
+    const auto batched =
+        circuit_eq_path_accept(source, target, proof, rng_batched, 2000);
     EXPECT_NEAR(sv.mean, batched.mean, 1e-9) << "trial " << trial;
     EXPECT_NEAR(sv.half_width_95, batched.half_width_95, 1e-9);
     // Both consumed the same number of draws: the streams stay in lockstep.
@@ -107,12 +175,11 @@ TEST(CircuitSimTest, BatchedReplaysStateVectorDrawSequence) {
   }
 }
 
-TEST(CircuitSimTest, BatchedHonestRunAcceptsAlways) {
+TEST(CircuitSimTest, ReferenceHonestRunAcceptsAlways) {
   Rng rng(6);
   const CVec psi = dqma::quantum::haar_state(4, rng);
-  const auto est = circuit_eq_path_accept(
-      psi, psi, uniform_proof(psi, 3), rng, 300,
-      dqma::protocol::CircuitMcStrategy::kBatched);
+  const auto est =
+      state_vector_circuit_accept(psi, psi, uniform_proof(psi, 3), rng, 300);
   EXPECT_DOUBLE_EQ(est.mean, 1.0);
 }
 

@@ -169,14 +169,11 @@ TEST(DeriveSeedTest, PinsBenchSeriesSeedsOfTheLocalOpsEngine) {
             0xb886ab87dd07ad15ULL);
   EXPECT_EQ(series_seed("table2_eq", "exact_vs_dp_large"),
             0x5a7301dc55a800f9ULL);
-  EXPECT_EQ(series_seed("micro", "kernels"), 0xafb5b4cbbdebde25ULL);
   // First job of each series (what the sweep engine hands the job body).
   EXPECT_EQ(derive_seed(series_seed("table3_lower", "matrix_free_large"), 0),
             0xed7d97ba7b1b3da0ULL);
   EXPECT_EQ(derive_seed(series_seed("table2_eq", "exact_vs_dp_large"), 0),
             0xa21b20d93fb2ce37ULL);
-  EXPECT_EQ(derive_seed(series_seed("micro", "kernels"), 0),
-            0xefa6ecdc8611b80dULL);
 }
 
 TEST(DeriveSeedTest, PinsBenchSeriesSeedsOfTheParallelKernelLayer) {
@@ -187,10 +184,7 @@ TEST(DeriveSeedTest, PinsBenchSeriesSeedsOfTheParallelKernelLayer) {
   const auto series_seed = [](const char* experiment, const char* series) {
     return derive_seed(derive_seed(0, fnv1a64(experiment)), fnv1a64(series));
   };
-  EXPECT_EQ(series_seed("micro", "parallel_kernels"), 0x2331d1ea91f7cda9ULL);
   EXPECT_EQ(series_seed("table2_eq", "circuit_mc"), 0x84204262021e6c11ULL);
-  EXPECT_EQ(derive_seed(series_seed("micro", "parallel_kernels"), 0),
-            0x4578d9d0a2be2a8aULL);
   EXPECT_EQ(derive_seed(series_seed("table2_eq", "circuit_mc"), 0),
             0x8b68f72be803c4ffULL);
 }

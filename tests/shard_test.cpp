@@ -94,17 +94,6 @@ void register_fake_experiments() {
                          cheap_results[i].metrics.get_int("cost")) /
                          base));
            }
-
-           // Hand-rolled serial loop sharded via owns_next_record.
-           for (int i = 0; i < 4; ++i) {
-             if (!ctx.owns_next_record("inline")) {
-               ctx.skip_record("inline");
-               continue;
-             }
-             Rng rng = ctx.point_rng("inline", static_cast<std::size_t>(i));
-             ctx.record("inline", ParamPoint().set("i", i),
-                        Metrics().set("draw", rng.next_double()));
-           }
          }});
 
     dqma::sweep::register_experiment(
@@ -438,11 +427,14 @@ TEST(ShardEndToEndTest, FailsFastOnBadOutputPath) {
   EXPECT_EQ(run_cli({"--shard", "5/4"}), 2);
   EXPECT_EQ(run_cli({"--merge", "--json", temp_path("never.json")}), 2);
   EXPECT_EQ(run_cli({"--shard", "0/2", "--compare", "whatever.json"}), 2);
-  // Elastic-worker flags are not part of the CLI: each is an unknown
-  // option, not a silently ignored one.
+  // Removed flags (elastic workers, scratch tiles) are not part of the
+  // CLI: each is an unknown option, not a silently ignored one.
   for (const auto& [name, value] :
        std::vector<std::pair<std::string, std::string>>{
-           {"coordinate", "x"}, {"worker", "w"}, {"lease-timeout", "5"}}) {
+           {"coordinate", "x"},
+           {"worker", "w"},
+           {"lease-timeout", "5"},
+           {"scratch", "/tmp"}}) {
     const std::string flag = "--" + name;
     ::testing::internal::CaptureStderr();
     EXPECT_EQ(run_cli({flag, value}), 2) << flag;

@@ -408,6 +408,31 @@ TEST(LinearOperatorTest, DenseAndCallbackBackendsAgreeWithEigh) {
     EXPECT_LT(reference.linf_distance(got), 1e-11)
         << simd::level_name(level);
   }
+  // A ragged 515 x 515 operator: its row panels split into several kernel
+  // chunks and each packed dot ends in a vector tail. Every level agrees
+  // with the scalar matvec, and each level is byte-identical across kernel
+  // thread counts.
+  const int n = 515;
+  CMat big(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      big(i, j) = Complex{rng.next_double() - 0.5, rng.next_double() - 0.5};
+    }
+  }
+  const CVec big_x = haar_state(n, rng);
+  const auto big_apply = [&](simd::Level level, int threads) {
+    const simd::LevelScope scope(level);
+    const dqma::sweep::KernelThreadScope thread_scope(threads);
+    return dqma::linalg::DenseOperator(big).apply(big_x);
+  };
+  const CVec big_reference = big_apply(simd::Level::kScalar, 1);
+  for (const simd::Level level : supported_simd_levels()) {
+    const CVec serial = big_apply(level, 1);
+    EXPECT_LT(big_reference.linf_distance(serial), 1e-11)
+        << simd::level_name(level);
+    EXPECT_EQ(serial.linf_distance(big_apply(level, 3)), 0.0)
+        << simd::level_name(level);
+  }
 }
 
 }  // namespace
