@@ -401,9 +401,14 @@ void ExactEqPathAnalyzer::apply_matrix_free(const CVec& psi, CVec& out,
   // measured slower); each effect is one parallel O(D) pass by its closed
   // form. The first test reads psi into the scratch, the swap tests work in
   // place, and the final measurement accumulates into out, pre-scaled by
-  // 1/patterns (a power of two, so the scaling is exact).
+  // 1/patterns (a power of two, so the scaling is exact). out is zeroed on
+  // the pool first (2 stores per amplitude).
   Complex* acc = linalg::MutComplexView(out).aos_data();
-  std::fill(acc, acc + out.dim(), Complex{0.0, 0.0});
+  sweep::parallel_for(static_cast<std::size_t>(out.dim()),
+                      sweep::grain_for_ops(2),
+                      [acc](std::size_t begin, std::size_t end) {
+                        std::fill(acc + begin, acc + end, Complex{0.0, 0.0});
+                      });
   const Complex* in = linalg::ConstComplexView(psi).aos_data();
   Complex* p = linalg::MutComplexView(scratch).aos_data();
   for (const std::vector<PatternEffect>& effects : pattern_effects_) {
@@ -515,7 +520,9 @@ CMat ExactEqPathAnalyzer::conditional_operator(
   // Per pattern, the group holding register k gives its d x d conditional
   // block and every other group a scalar factor. The rank-one tests' blocks
   // are the effects; the swap test's, with partner state v, is
-  // (||v||^2 I + |v><v|)/2.
+  // (||v||^2 I + |v><v|)/2. Each block is accumulated straight into cond,
+  // entry by entry, with the std::complex operations (and their order) of
+  // forming it as a matrix expression: (I ||v||^2 + |v><v|) * 1/2 * scale.
   require(static_cast<int>(regs.size()) == shape_.register_count(),
           "ExactEqPathAnalyzer: register count mismatch");
   CMat cond(d_, d_);
@@ -531,18 +538,31 @@ CMat ExactEqPathAnalyzer::conditional_operator(
     }
     util::ensure(own != nullptr, "ExactEqPathAnalyzer: register not covered "
                                  "by any effect group");
-    CMat part;
+    const Complex s{scale, 0.0};
     if (own->kind == EffectKind::kSwap) {
       const CVec& v = regs[static_cast<std::size_t>(
           own->regs.front() == k ? own->regs.back() : own->regs.front())];
-      part = CMat::identity(d_) * Complex{v.norm_sq(), 0.0};
-      part += CMat::projector(v);
-      part *= Complex{0.5, 0.0};
+      const Complex norm_sq{v.norm_sq(), 0.0};
+      for (int i = 0; i < d_; ++i) {
+        // CMat::outer leaves the rows of zero entries of v at zero.
+        const bool zero_row = v[i] == Complex{0.0, 0.0};
+        for (int j = 0; j < d_; ++j) {
+          Complex part{i == j ? 1.0 : 0.0, 0.0};
+          part *= norm_sq;
+          part += zero_row ? Complex{0.0, 0.0} : v[i] * std::conj(v[j]);
+          part *= Complex{0.5, 0.0};
+          part *= s;
+          cond(i, j) += part;
+        }
+      }
     } else {
-      part = effect_matrix(own->kind);
+      const CMat& effect = effect_matrix(own->kind);
+      for (int i = 0; i < d_; ++i) {
+        for (int j = 0; j < d_; ++j) {
+          cond(i, j) += effect(i, j) * s;
+        }
+      }
     }
-    part *= Complex{scale, 0.0};
-    cond += part;
   }
   cond *= Complex{1.0 / static_cast<double>(patterns_), 0.0};
   return cond;

@@ -35,6 +35,16 @@
 //     (O(d^2)), and takes top eigenvectors by Lanczos.
 // kAuto picks kDense up to kMaxDenseProofDim and kMatrixFree beyond.
 //
+// Cost. A matrix-free worst_case_accept is its Lanczos steps: per step one
+// matvec, O(patterns * r * D), plus three reorthogonalization sweeps over
+// the j stored basis vectors, O(j * D), level-dispatched on the kernel
+// pool. What is left per step is O(D) on the pool (zeroing the matvec's
+// output, scaling w) and the serial norm; no step allocates or refills a
+// borrowed vector. At d = 16, r = 3 (D = 65536, 23 steps) the matvecs and
+// the sweeps are most of a solve. best_product_accept's cost is its
+// conditional blocks, O(patterns * d^2) each and accumulated in place, and
+// one d x d Lanczos solve per block.
+//
 // Determinism. The rank-one passes are real-arithmetic tile loops (the
 // stride-1 register as contiguous d-amplitude fibers) instantiated per SIMD
 // dispatch level and compiled without FMA contraction: every amplitude sees
@@ -161,9 +171,10 @@ class ExactEqPathAnalyzer {
   /// Lanczos matvecs allocate nothing.
   class MatrixFreeOperator;
 
-  /// out <- O psi by the closed-form passes; zero-fills out and uses
-  /// scratch as the pattern workspace (both sized by the caller to
-  /// proof_dim(), neither aliasing psi; scratch's contents are ignored).
+  /// out <- O psi by the closed-form passes; zero-fills out on the kernel
+  /// pool and uses scratch as the pattern workspace (both sized by the
+  /// caller to proof_dim(), neither aliasing psi; neither one's contents
+  /// are read before they are written).
   void apply_matrix_free(const CVec& psi, CVec& out, CVec& scratch) const;
   const CMat& effect_matrix(EffectKind kind) const;
   /// Closed-form <w| effect |w> for the group's product state.

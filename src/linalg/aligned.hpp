@@ -69,6 +69,28 @@ inline constexpr std::size_t kVectorAlignment = 64;
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T, kVectorAlignment>>;
 
+/// The aligned allocator with a no-op value-initializing construct: a
+/// vector grown by resize(n) leaves the new entries as its storage holds
+/// them instead of writing zeros, so regrowing a reused buffer costs
+/// nothing. Only for implicit-lifetime element types (std::complex<double>)
+/// in containers whose growers write every new entry before reading it;
+/// construction from a value or a copy is unaffected.
+template <typename T>
+class OverwriteAllocator : public AlignedAllocator<T, kVectorAlignment> {
+ public:
+  template <typename U>
+  struct rebind {
+    using other = OverwriteAllocator<U>;
+  };
+
+  OverwriteAllocator() noexcept = default;
+  template <typename U>
+  OverwriteAllocator(const OverwriteAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U*) noexcept {}
+};
+
 /// Split-complex (structure-of-arrays) storage: the real and imaginary
 /// parts of a complex buffer in two separate aligned double arrays. This is
 /// the layout the explicitly vectorized kernels in linalg/simd.hpp want —

@@ -2,23 +2,32 @@
 // eigensolver with full reorthogonalization against the stored basis, plus
 // the shared power-iteration fallback and the dispatch glue between them.
 //
-// Determinism contract (same as the SIMD kernels, linalg/simd.hpp): for a
-// fixed dispatch level the solver is byte-identical across the kernel-thread
-// axis. Two kinds of work run on the kernel pool: the operator application,
-// thread-count invariant by the LinearOperator backends' own contract, and
-// the reorthogonalization sweeps, which reduce their coefficients over a
-// fixed element partition in chunk order (sweep/parallel.hpp) and subtract
-// over disjoint element ranges. CGS2 costs three sweeps over the stored
-// basis per step: project, then subtract-and-reproject fused per chunk,
-// then subtract. The start vector, norms and the tridiagonal
-// bisection/inverse iteration run serially on the calling thread.
+// Determinism contract: the solver is byte-identical across the
+// kernel-thread axis, and its own arithmetic is byte-identical across SIMD
+// dispatch levels too, so its outputs differ between levels only where
+// the operator's matvec does (linalg/simd.hpp). Two kinds of work run on
+// the kernel pool: the operator application, thread-count invariant by the
+// LinearOperator backends' own contract, and the reorthogonalization
+// sweeps, which reduce their coefficients over a fixed element partition
+// in chunk order (sweep/parallel.hpp) and subtract over disjoint element
+// ranges. CGS2 costs three sweeps over the stored basis per step: project,
+// then subtract-and-reproject fused per chunk, then subtract. The sweeps
+// are instantiated per level with basis vectors in the vector lanes for
+// the dots and elements in the lanes for the subtractions; each lane keeps
+// the scalar loop's operations and order, and lanczos.cpp is compiled
+// without FMA contraction. The start vector, the norm beta (one serial
+// sum, whose order defines its bits) and the tridiagonal
+// bisection/inverse iteration run on the calling thread; the scaling of w
+// by 1/beta runs on the pool, entry by entry.
 //
 // Spectral workspace. A Lanczos solve at D = 2^16 stores ~27 basis vectors
 // of 1 MiB; allocated fresh, each one costs its first-touch page faults on
 // every solve. The solver (and the matrix-free operators' scratch) instead
 // borrows vectors from a pool owned by the calling thread and returns them
-// when the solve ends. A borrowed vector is resized within its storage, so
-// a smaller solve reuses a larger solve's pages instead of adding its own.
+// when the solve ends. A borrowed vector is resized within its storage,
+// without writing the entries it regrows, so a smaller solve reuses a
+// larger solve's pages instead of adding its own and a larger one regrows
+// them for free.
 // Retention rule: the bytes a thread's pool keeps idle never exceed the
 // largest footprint (bytes on loan at once) that thread has needed; a
 // returned vector that would break the cap is freed. So a thread never
@@ -49,10 +58,11 @@ struct SpectralStats {
 /// locals do).
 class WorkspaceVec {
  public:
-  /// Borrows a vector of `dim` entries with unspecified contents: callers
-  /// overwrite or zero it. The idle vector with the smallest storage that
-  /// holds `dim` entries is taken; if none does, the largest idle one is
-  /// freed and a vector of exactly `dim` entries allocated. Vectors under
+  /// Borrows a vector of `dim` entries with unspecified contents (whatever
+  /// a previous borrower left): callers write every entry before reading
+  /// it. The idle vector with the smallest storage that holds `dim`
+  /// entries is taken; if none does, the largest idle one is freed and a
+  /// vector of exactly `dim` entries allocated. Vectors under
   /// a page are allocated fresh and freed on return (counted as on loan,
   /// never kept idle).
   explicit WorkspaceVec(int dim);

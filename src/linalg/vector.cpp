@@ -15,9 +15,10 @@ CVec::CVec(int dim) {
   a_.assign(static_cast<std::size_t>(dim), Complex{0.0, 0.0});
 }
 
-void CVec::resize(int dim) {
-  require(dim >= 0, "CVec::resize: dimension must be non-negative");
-  a_.resize(static_cast<std::size_t>(dim), Complex{0.0, 0.0});
+void CVec::resize_for_overwrite(int dim) {
+  require(dim >= 0,
+          "CVec::resize_for_overwrite: dimension must be non-negative");
+  a_.resize(static_cast<std::size_t>(dim));  // no fill: OverwriteAllocator
 }
 
 CVec::CVec(std::vector<Complex> amplitudes)

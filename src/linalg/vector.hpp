@@ -34,8 +34,10 @@ class CVec {
   int dim() const { return static_cast<int>(a_.size()); }
 
   /// Sets the dimension, keeping the storage when `dim` fits its capacity:
-  /// entries below min(old, new) dim keep their values, new ones are zero.
-  void resize(int dim);
+  /// entries below min(old, new) dim keep their values. New entries are
+  /// unspecified (whatever the storage holds; nothing is written), so the
+  /// caller must write each one before reading it.
+  void resize_for_overwrite(int dim);
 
   /// Bytes of storage held, which can exceed dim() entries after a shrink.
   std::size_t capacity_bytes() const { return a_.capacity() * sizeof(Complex); }
@@ -80,7 +82,7 @@ class CVec {
   double linf_distance(const CVec& other) const;
 
  private:
-  AlignedVector<Complex> a_;
+  std::vector<Complex, OverwriteAllocator<Complex>> a_;
 };
 
 }  // namespace dqma::linalg

@@ -431,6 +431,12 @@ TEST(ExactAnalyzerBytePinTest, MatrixFreeOutputsMatchRecordedBits) {
        0x3fe96fa39238becaULL, 0x3fe9af2ac7f9555cULL, 32},
       {8, 3, 0x5eed8, 0xe3ebacded13c9664ULL, 0x3fae10c5298fb381ULL,
        std::nullopt, 0x3fe64a4f500743a6ULL, 25},
+      // The perfbench exact_spectral shapes: D = 14641 and D = 65536, where
+      // the reorthogonalization sweeps split into many chunks.
+      {11, 3, 0x5eed11, 0xb9f19457dceea2e7ULL, 0x3fa994d55fa9fec1ULL,
+       std::nullopt, 0x3fe807e12c08c8c4ULL, 22},
+      {16, 3, 0x5eed16, 0x0d7adfd352d147ddULL, 0x3f72995e83c1188eULL,
+       std::nullopt, 0x3fe805e2248517ccULL, 23},
   };
   for (const Pin& pin : pins) {
     Rng rng(pin.seed);
@@ -475,6 +481,51 @@ TEST(ExactAnalyzerBytePinTest, MatrixFreeOutputsMatchRecordedBits) {
         EXPECT_EQ(stats.matvecs, pin.matvecs) << where;
       }
     }
+  }
+}
+
+TEST(ExactAnalyzerBytePinTest, ConditionalBlocksMatchRecordedBits) {
+  // The product optimizer's d x d conditional blocks, every register's,
+  // with one register holding an exact +0.0 and -0.0 entry. FNV-1a over
+  // their entries' bits, recorded when each block was still formed as a
+  // matrix expression (identity, projector and scaled copies per pattern);
+  // the in-place accumulation must reproduce every bit.
+  using dqma::protocol::ExactEqPathAnalyzer;
+  struct Pin {
+    int d;
+    int r;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {5, 4, 0x5eed, 0x2d4064529e00b874ULL},
+      {8, 3, 0x5eed8, 0x11e63d3157e97b0eULL},
+      {11, 3, 0x5eed11, 0xad593dfaea0f3bedULL},
+      {16, 3, 0x5eed16, 0xe7eec6834b4154c2ULL},
+  };
+  for (const Pin& pin : pins) {
+    Rng rng(pin.seed);
+    const CVec hx = uniform_state(pin.d, rng);
+    const CVec hy = uniform_state(pin.d, rng);
+    const ExactEqPathAnalyzer analyzer(hx, hy, pin.r,
+                                       ExactEqPathAnalyzer::Mode::kMatrixFree);
+    (void)uniform_state(static_cast<int>(analyzer.proof_dim()), rng);
+    std::vector<CVec> regs;
+    for (int k = 0; k < 2 * (pin.r - 1); ++k) {
+      regs.push_back(uniform_state(pin.d, rng));
+    }
+    regs[1][0] = Complex{0.0, 0.0};
+    regs[1][1] = Complex{-0.0, 0.0};
+    std::vector<Complex> all;
+    for (int k = 0; k < 2 * (pin.r - 1); ++k) {
+      const CMat block = analyzer.conditional_operator(k, regs);
+      for (int i = 0; i < pin.d; ++i) {
+        for (int j = 0; j < pin.d; ++j) {
+          all.push_back(block(i, j));
+        }
+      }
+    }
+    EXPECT_EQ(amplitude_hash(CVec(all)), pin.hash) << "d " << pin.d;
   }
 }
 

@@ -1,14 +1,17 @@
 // Tests for the deterministic Lanczos eigensolver (linalg/lanczos.hpp):
 // agreement with the dense Jacobi eigh at 1e-9, degenerate/rank-deficient
 // PSD operators, dimension edges, byte-determinism across the kernel-thread
-// axis, matvec-count advantage over power iteration, the tightened
-// power-iteration stop rule on a gap-1e-12 two-cluster spectrum, and bit
-// equality of the fused three-sweep CGS2 with the two-pass loop it replaced.
+// and SIMD-level axes, matvec-count advantage over power iteration, the
+// tightened power-iteration stop rule on a gap-1e-12 two-cluster spectrum,
+// bit equality of the fused three-sweep CGS2 with the two-pass loop it
+// replaced, and spectral-workspace reuse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -247,14 +250,20 @@ TEST_F(LanczosTest, ByteDeterminismAcrossKernelThreads) {
         return y;
       },
       n);
-  const std::vector<simd::Level> levels = {
-      simd::Level::kScalar, simd::clamp_to_supported(simd::Level::kAvx2)};
-  for (const simd::Level level : levels) {
+  // The callback's matvec does not depend on the level, so its solves must
+  // also match across levels: the sweeps are level-dispatched but round
+  // identically at every level.
+  std::vector<double> callback_bytes;
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (!simd::is_supported(level)) {
+      continue;
+    }
     const simd::LevelScope level_scope(level);
     for (const bool use_large : {false, true}) {
       std::vector<std::vector<double>> runs;
       std::vector<long long> matvecs;
-      for (const int threads : {1, 3, 8}) {
+      for (const int threads : {1, 3, 4, 8}) {
         const dqma::sweep::KernelThreadScope thread_scope(threads);
         // The dense operator packs at construction under the active level;
         // its parallel row panels and the reorthogonalization chunks are
@@ -295,6 +304,16 @@ TEST_F(LanczosTest, ByteDeterminismAcrossKernelThreads) {
             << (use_large ? " (2^14 callback)" : " (dense 64)");
         EXPECT_EQ(matvecs[k], matvecs[0]);
       }
+      if (use_large) {
+        if (callback_bytes.empty()) {
+          callback_bytes = runs[0];
+        }
+        ASSERT_EQ(runs[0].size(), callback_bytes.size());
+        EXPECT_EQ(std::memcmp(runs[0].data(), callback_bytes.data(),
+                              callback_bytes.size() * sizeof(double)),
+                  0)
+            << "level-axis byte drift at " << simd::level_name(level);
+      }
     }
   }
 }
@@ -303,7 +322,13 @@ TEST_F(LanczosTest, FusedSweepMatchesTwoPassReferenceBitForBit) {
   // At 40 dims every sweep is one chunk. At 20000 dims the sweeps split into
   // many chunks from the second basis vector on; a dense operator would
   // need 6.4 GB there, so that one is diag(u_i) + |a><a| + |b><b| with
-  // seeded uniform u_i, applied serially by a callback.
+  // seeded uniform u_i, applied serially by a callback. The 1001-dim one
+  // has a dimension no register width divides, and every 13th entry of its
+  // image is an exact +0.0 or -0.0: M (diag(u_i) + |c><c|) M with M the
+  // diagonal mask that zeroes those coordinates. Every solve runs more than
+  // 8 steps, so the basis count crosses the 2-, 4- and 8-lane groups of the
+  // dots and the combine passes. The solver must match the reference bit
+  // for bit at every SIMD level and kernel thread count.
   const CMat rho = dqma::quantum::random_density(40, rng());
   const int n = 20000;
   std::vector<double> diag(static_cast<std::size_t>(n));
@@ -321,18 +346,47 @@ TEST_F(LanczosTest, FusedSweepMatchesTwoPassReferenceBitForBit) {
         return y;
       },
       n);
+  const int odd = 1001;
+  std::vector<double> odd_diag(static_cast<std::size_t>(odd));
+  for (double& u : odd_diag) {
+    u = rng().next_double();
+  }
+  const CVec c = dqma::quantum::haar_state(odd, rng());
+  const auto masked_out = [](int i) { return i % 13 == 0; };
+  const CallbackOperator masked(
+      [&](const CVec& x) {
+        CVec xm = x;
+        for (int i = 0; i < odd; i += 13) {
+          xm[i] = Complex{0.0, 0.0};
+        }
+        CVec y = c * c.dot(xm);
+        for (int i = 0; i < odd; ++i) {
+          y[i] += xm[i] * odd_diag[static_cast<std::size_t>(i)];
+          if (masked_out(i)) {
+            const bool negative = (i / 13) % 2 == 1;
+            y[i] = Complex{negative ? -0.0 : 0.0, negative ? 0.0 : -0.0};
+          }
+        }
+        return y;
+      },
+      odd);
   const DenseOperator dense(rho);
   const SpectralOptions opts = options_for(Method::kLanczos);
-  for (const bool use_large : {false, true}) {
-    const dqma::linalg::LinearOperator& op =
-        use_large ? static_cast<const dqma::linalg::LinearOperator&>(large)
-                  : dense;
-    const char* name = use_large ? "diag + rank two, 20000" : "dense 40";
+  struct Case {
+    const dqma::linalg::LinearOperator* op;
+    const char* name;
+  };
+  for (const Case& input : {Case{&dense, "dense 40"},
+                            Case{&large, "diag + rank two, 20000"},
+                            Case{&masked, "masked, signed zeros, 1001"}}) {
+    const dqma::linalg::LinearOperator& op = *input.op;
+    const char* name = input.name;
     CVec ref_vec;
     SpectralStats ref_stats;
     const double ref = reference_lanczos(op, opts, ref_vec, ref_stats);
     EXPECT_TRUE(ref_stats.converged) << name;
-    if (use_large) {
+    EXPECT_GT(ref_stats.iterations, 8) << name;
+    if (op.dim() == n) {
       EXPECT_GT(dqma::sweep::plan_chunks(
                     static_cast<std::size_t>(n),
                     dqma::sweep::grain_for_ops(
@@ -340,23 +394,32 @@ TEST_F(LanczosTest, FusedSweepMatchesTwoPassReferenceBitForBit) {
                     .chunks,
                 8u);
     }
-    for (const int threads : {1, 4}) {
-      const dqma::sweep::KernelThreadScope thread_scope(threads);
-      CVec vec;
-      SpectralStats stats;
-      const double theta = top_eigenvalue_psd(op, opts, &vec, &stats);
-      EXPECT_EQ(std::memcmp(&theta, &ref, sizeof(double)), 0)
-          << name << ", threads " << threads;
-      ASSERT_EQ(vec.dim(), ref_vec.dim());
-      EXPECT_EQ(std::memcmp(&vec[0], &ref_vec[0],
-                            static_cast<std::size_t>(vec.dim()) *
-                                sizeof(Complex)),
-                0)
-          << name << ", threads " << threads;
-      EXPECT_EQ(stats.matvecs, ref_stats.matvecs) << name;
-      EXPECT_EQ(stats.iterations, ref_stats.iterations) << name;
-      EXPECT_EQ(stats.converged, ref_stats.converged) << name;
-      EXPECT_EQ(stats.used_lanczos, ref_stats.used_lanczos) << name;
+    for (const simd::Level level :
+         {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+      if (!simd::is_supported(level)) {
+        continue;
+      }
+      const simd::LevelScope level_scope(level);
+      for (const int threads : {1, 4}) {
+        const dqma::sweep::KernelThreadScope thread_scope(threads);
+        const std::string where = std::string(name) + ", " +
+                                  simd::level_name(level) + ", threads " +
+                                  std::to_string(threads);
+        CVec vec;
+        SpectralStats stats;
+        const double theta = top_eigenvalue_psd(op, opts, &vec, &stats);
+        EXPECT_EQ(std::memcmp(&theta, &ref, sizeof(double)), 0) << where;
+        ASSERT_EQ(vec.dim(), ref_vec.dim());
+        EXPECT_EQ(std::memcmp(&vec[0], &ref_vec[0],
+                              static_cast<std::size_t>(vec.dim()) *
+                                  sizeof(Complex)),
+                  0)
+            << where;
+        EXPECT_EQ(stats.matvecs, ref_stats.matvecs) << where;
+        EXPECT_EQ(stats.iterations, ref_stats.iterations) << where;
+        EXPECT_EQ(stats.converged, ref_stats.converged) << where;
+        EXPECT_EQ(stats.used_lanczos, ref_stats.used_lanczos) << where;
+      }
     }
   }
 }
@@ -491,6 +554,54 @@ TEST_F(LanczosTest, WorkspaceReuseIsBitIdenticalAndCapped) {
     EXPECT_GT(w.bytes.retained, 0u) << "solve " << k;
     EXPECT_EQ(w.bytes.on_loan, 0u) << "solve " << k;
   }
+}
+
+TEST_F(LanczosTest, WorkspaceRegrowthAcrossAnalyzerShapesIsBitIdentical) {
+  // Borrowed vectors are regrown without writing their new entries. A
+  // d = 16 solve (D = 65536) leaves 1 MiB vectors idle, a d = 11 solve
+  // (D = 14641) shrinks them, and a second d = 16 instance regrows them
+  // within their storage, over entries the first instance wrote. Its
+  // outputs must equal the same instance's on a fresh thread bit for bit.
+  using dqma::protocol::ExactEqPathAnalyzer;
+  const auto analyzer = [](int d, std::uint64_t seed) {
+    Rng r(seed);
+    return ExactEqPathAnalyzer(dqma::quantum::haar_state(d, r),
+                               dqma::quantum::haar_state(d, r), 3,
+                               ExactEqPathAnalyzer::Mode::kMatrixFree);
+  };
+  const ExactEqPathAnalyzer first = analyzer(16, 1);
+  const ExactEqPathAnalyzer smaller = analyzer(11, 2);
+  const ExactEqPathAnalyzer target = analyzer(16, 3);
+  Rng probe_rng(4);
+  const CVec probe = dqma::quantum::haar_state(
+      static_cast<int>(target.proof_dim()), probe_rng);
+  struct Outputs {
+    double worst = 0.0;
+    SpectralStats stats;
+    CVec applied;
+  };
+  const auto run_target = [&] {
+    Outputs out;
+    out.worst = target.worst_case_accept(SpectralOptions{}, &out.stats);
+    out.applied = target.apply_acceptance(probe);
+    return out;
+  };
+  Outputs warm;
+  std::thread([&] {
+    (void)first.worst_case_accept();
+    (void)smaller.worst_case_accept();
+    warm = run_target();
+  }).join();
+  Outputs cold;
+  std::thread([&] { cold = run_target(); }).join();
+  EXPECT_EQ(std::memcmp(&warm.worst, &cold.worst, sizeof(double)), 0);
+  EXPECT_EQ(warm.stats.matvecs, cold.stats.matvecs);
+  EXPECT_TRUE(warm.stats.converged);
+  ASSERT_EQ(warm.applied.dim(), cold.applied.dim());
+  EXPECT_EQ(std::memcmp(&warm.applied[0], &cold.applied[0],
+                        static_cast<std::size_t>(warm.applied.dim()) *
+                            sizeof(Complex)),
+            0);
 }
 
 TEST_F(LanczosTest, ApplyIntoReusesStorageAndMatchesApply) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
@@ -46,6 +47,44 @@ TEST(CVecTest, TensorProductDimensionsAndValues) {
   const CVec t = a.tensor(b);
   EXPECT_EQ(t.dim(), 6);
   EXPECT_EQ(t[1 * 3 + 2], (Complex{1.0, 0.0}));
+}
+
+TEST(CVecTest, ResizeForOverwriteKeepsEntriesAndStorage) {
+  // Contract: entries below min(old, new) dim keep their bits, and a size
+  // within the capacity reuses the storage. New entries are unspecified
+  // (nothing is written), so only their count is checked.
+  CVec v(600);  // 9600 bytes: the aligned allocation path
+  for (int i = 0; i < v.dim(); ++i) {
+    v[i] = Complex{0.5 + i, (i % 3 == 0) ? -0.0 : -1.0 * i};
+  }
+  const CVec original = v;
+  const std::size_t capacity = v.capacity_bytes();
+  const Complex* storage = &v[0];
+
+  v.resize_for_overwrite(250);
+  EXPECT_EQ(v.dim(), 250);
+  EXPECT_EQ(v.capacity_bytes(), capacity);
+  EXPECT_EQ(&v[0], storage);
+  EXPECT_EQ(std::memcmp(&v[0], &original[0], 250 * sizeof(Complex)), 0);
+
+  v.resize_for_overwrite(600);
+  EXPECT_EQ(v.dim(), 600);
+  EXPECT_EQ(v.capacity_bytes(), capacity);
+  EXPECT_EQ(&v[0], storage);
+  EXPECT_EQ(std::memcmp(&v[0], &original[0], 250 * sizeof(Complex)), 0);
+
+  // Growing past the capacity moves the kept entries to new storage.
+  v.resize_for_overwrite(1000);
+  EXPECT_EQ(v.dim(), 1000);
+  EXPECT_GE(v.capacity_bytes(), 1000 * sizeof(Complex));
+  EXPECT_EQ(std::memcmp(&v[0], &original[0], 250 * sizeof(Complex)), 0);
+
+  // Construction by dimension still writes +0.0 into every entry.
+  const CVec zeros(600);
+  const Complex plus_zero{0.0, 0.0};
+  for (int i = 0; i < zeros.dim(); ++i) {
+    EXPECT_EQ(std::memcmp(&zeros[i], &plus_zero, sizeof(Complex)), 0) << i;
+  }
 }
 
 TEST(CVecTest, NormalizeThrowsOnZeroVector) {
