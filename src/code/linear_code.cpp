@@ -33,13 +33,8 @@ LinearCode::LinearCode(int n, int m, std::uint64_t seed)
 
 Bitstring LinearCode::encode(const Bitstring& x) const {
   require(x.size() == n_, "LinearCode::encode: message length mismatch");
-  // Pack x into words once.
-  std::vector<std::uint64_t> xw(static_cast<std::size_t>(words_per_row_), 0);
-  for (int i = 0; i < n_; ++i) {
-    if (x.get(i)) {
-      xw[static_cast<std::size_t>(i / 64)] |= 1ULL << (i % 64);
-    }
-  }
+  // x's packed words share the rows' layout: bit i at word i / 64.
+  const std::vector<std::uint64_t>& xw = x.words();
   Bitstring out(m_);
   for (int r = 0; r < m_; ++r) {
     std::uint64_t acc = 0;
@@ -108,6 +103,8 @@ int recommended_block_length(int n, double delta) {
   const double slack = 8.0;
   const double raw = 2.0 * (static_cast<double>(n) * 0.6931471805599453 + slack) /
                      (delta * delta);
+  // Doubling past 2^30 overflows int, and the loop below would never end.
+  require(raw <= 1 << 30, "recommended_block_length: block length above 2^30");
   int m = 1;
   while (m < raw) {
     m *= 2;

@@ -1,7 +1,9 @@
 #include "comm/hamming_protocol.hpp"
 
 #include <cmath>
+#include <utility>
 
+#include "code/linear_code.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -14,7 +16,7 @@ HammingOneWayProtocol::HammingOneWayProtocol(int n, int d, double delta,
                                              int copies, std::uint64_t seed)
     : n_(n),
       d_(d),
-      blocks_(std::max(1, 4 * (d + 1) * (d + 1))),
+      blocks_(static_cast<int>(blocks_for(d))),
       copies_(copies),
       scheme_(n, delta, seed ^ 0x5eed) {
   require(n >= 1, "HammingOneWayProtocol: n must be positive");
@@ -28,6 +30,18 @@ HammingOneWayProtocol::HammingOneWayProtocol(int n, int d, double delta,
         static_cast<int>(rng.next_below(static_cast<std::uint64_t>(blocks_)));
     masks_[static_cast<std::size_t>(b)].set(i, true);
   }
+}
+
+double HammingOneWayProtocol::message_amplitudes(int n, int d, double delta,
+                                                 int copies) {
+  return blocks_for(d) * copies * code::recommended_block_length(n, delta);
+}
+
+double HammingOneWayProtocol::stored_bytes(int n, int d, double delta) {
+  // A mask also costs its Bitstring object and a heap chunk header.
+  const double row = 8.0 * ((n + 63) / 64);
+  return blocks_for(d) * (row + sizeof(Bitstring) + 16) +
+         code::recommended_block_length(n, delta) * row;
 }
 
 int HammingOneWayProtocol::recommended_copies(int d, double delta,
@@ -50,24 +64,13 @@ std::vector<int> HammingOneWayProtocol::message_dims() const {
       static_cast<std::size_t>(blocks_ * copies_), scheme_.dim());
 }
 
-Bitstring HammingOneWayProtocol::masked(const Bitstring& x, int b) const {
-  Bitstring out(n_);
-  const Bitstring& mask = masks_[static_cast<std::size_t>(b)];
-  for (int i = 0; i < n_; ++i) {
-    if (mask.get(i) && x.get(i)) {
-      out.set(i, true);
-    }
-  }
-  return out;
-}
-
 std::vector<CVec> HammingOneWayProtocol::honest_message(
     const Bitstring& x) const {
   require(x.size() == n_, "HammingOneWayProtocol: input length mismatch");
   std::vector<CVec> message;
   message.reserve(static_cast<std::size_t>(blocks_ * copies_));
   for (int b = 0; b < blocks_; ++b) {
-    const CVec fp = scheme_.state(masked(x, b));
+    const CVec fp = scheme_.state(x & block_mask(b));
     for (int c = 0; c < copies_; ++c) {
       message.push_back(fp);
     }
@@ -86,7 +89,7 @@ double HammingOneWayProtocol::accept_product(
     fresh->y = y;
     fresh->refs.reserve(static_cast<std::size_t>(blocks_));
     for (int b = 0; b < blocks_; ++b) {
-      fresh->refs.push_back(scheme_.state(masked(y, b)));
+      fresh->refs.push_back(scheme_.state(y & block_mask(b)));
     }
     memo = std::move(fresh);
     memo_.store(memo, std::memory_order_release);
@@ -101,13 +104,46 @@ double HammingOneWayProtocol::accept_product(
       pass[static_cast<std::size_t>(b)] *= amp * amp;
     }
   }
+  return accept_from_pass(pass);
+}
+
+double HammingOneWayProtocol::honest_accept(const Bitstring& x,
+                                            const Bitstring& y) const {
+  // An equal block (diff & mask_b = 0) passes with certainty, so only the
+  // unequal ones can be flagged.
+  const Bitstring diff = x ^ y;
+  std::vector<Bitstring> unequal;
+  for (int b = 0; b < blocks_; ++b) {
+    Bitstring block_diff = diff & block_mask(b);
+    if (block_diff.weight() > 0) {
+      unequal.push_back(std::move(block_diff));
+    }
+  }
+  // At most d blocks can be flagged, so Bob accepts with certainty.
+  if (static_cast<int>(unequal.size()) <= d_) {
+    return 1.0;
+  }
+  // E is linear, so an unequal block's overlap is 1 - 2 w(E(block_diff)) / m.
+  const double m = static_cast<double>(scheme_.dim());
+  std::vector<double> pass(unequal.size(), 1.0);
+  for (std::size_t k = 0; k < unequal.size(); ++k) {
+    const double overlap =
+        1.0 - 2.0 * scheme_.code().codeword_weight(unequal[k]) / m;
+    for (int c = 0; c < copies_; ++c) {
+      pass[k] *= overlap * overlap;
+    }
+  }
+  return accept_from_pass(pass);
+}
+
+double HammingOneWayProtocol::accept_from_pass(
+    const std::vector<double>& pass) const {
   // Bob accepts iff at most d blocks are flagged (flag = any copy rejects).
-  // Poisson-binomial tail by dynamic programming over blocks.
+  // Poisson-binomial tail by DP over blocks; mass past d flags is dropped.
   std::vector<double> dp(static_cast<std::size_t>(d_) + 1, 0.0);
   dp[0] = 1.0;
-  double overflow = 0.0;  // probability mass with > d flags
-  for (int b = 0; b < blocks_; ++b) {
-    const double q = 1.0 - pass[static_cast<std::size_t>(b)];  // flag prob
+  for (const double p : pass) {
+    const double q = 1.0 - p;  // flag prob
     if (q == 0.0) {
       continue;
     }
@@ -118,14 +154,11 @@ double HammingOneWayProtocol::accept_product(
       dp[static_cast<std::size_t>(f)] = stay + carry;
       carry = up;
     }
-    overflow += carry;  // mass promoted beyond d flags never comes back
   }
   double accept = 0.0;
   for (const double v : dp) {
     accept += v;
   }
-  // Guard against rounding: accept + overflow should be ~1.
-  (void)overflow;
   return std::min(1.0, std::max(0.0, accept));
 }
 

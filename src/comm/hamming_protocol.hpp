@@ -18,6 +18,10 @@
 //    1/3 by k = O(log d) copies and B >= 4 (d+1)^2 blocks;
 //  * cost O(d^2 log d log n) qubits — a factor ~d log d above [LZ13], which
 //    EXPERIMENTS.md reports next to every measurement that depends on it.
+//
+// The honest run builds no state: E is linear, so block b's overlap is
+// 1 - 2 w(E((x xor y) & mask_b)) / m [BCWdW01], which honest_accept feeds to
+// accept_product's DP (exactly 1 when at most d blocks differ).
 #pragma once
 
 #include <atomic>
@@ -37,6 +41,13 @@ class HammingOneWayProtocol final : public OneWayProtocol {
   HammingOneWayProtocol(int n, int d, double delta, int copies,
                         std::uint64_t seed = 0xd15ea5e);
 
+  /// Sizes of the shape (n, d, delta, copies) without building it, in
+  /// doubles (at d = n = 4096 they near LLONG_MAX): the amplitudes of one
+  /// honest message, blocks x copies x fingerprint dimension, and the bytes
+  /// the constructor stores, the block masks plus the code's generator.
+  static double message_amplitudes(int n, int d, double delta, int copies);
+  static double stored_bytes(int n, int d, double delta);
+
   /// Copy count that brings the soundness error below `target`.
   static int recommended_copies(int d, double delta, double target = 1.0 / 3);
 
@@ -50,6 +61,8 @@ class HammingOneWayProtocol final : public OneWayProtocol {
   std::vector<CVec> honest_message(const Bitstring& x) const override;
   double accept_product(const Bitstring& y,
                         const std::vector<CVec>& message) const override;
+  /// Closed form from codeword weights (header comment); no state vector.
+  double honest_accept(const Bitstring& x, const Bitstring& y) const override;
   bool predicate(const Bitstring& x, const Bitstring& y) const override;
 
   /// The mask of block b (which indices it owns); exposed for tests.
@@ -71,7 +84,11 @@ class HammingOneWayProtocol final : public OneWayProtocol {
   };
   mutable std::atomic<std::shared_ptr<const Memo>> memo_;
 
-  Bitstring masked(const Bitstring& x, int b) const;
+  /// Number of blocks B = 4 (d+1)^2 at threshold d.
+  static double blocks_for(int d) { return 4.0 * (d + 1) * (d + 1); }
+
+  /// Pr[at most d blocks flagged] given each block's all-copies pass odds.
+  double accept_from_pass(const std::vector<double>& pass) const;
 };
 
 }  // namespace dqma::comm

@@ -48,8 +48,10 @@ class OneWayProtocol {
   /// Total message cost in qubits: sum over registers of ceil(log2 dim).
   int message_qubits() const;
 
-  /// Acceptance of the honest run.
-  double honest_accept(const Bitstring& x, const Bitstring& y) const;
+  /// Acceptance of the honest run. The default, accept_product(y,
+  /// honest_message(x)), is the path of EQ and LTF; the Hamming protocol
+  /// overrides it with a closed form that tests hold to this default.
+  virtual double honest_accept(const Bitstring& x, const Bitstring& y) const;
 };
 
 /// ceil(log2(dim)) with qubits(1) = 0.

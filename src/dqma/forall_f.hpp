@@ -72,7 +72,8 @@ class ForallFProtocol {
   bool predicate(const std::vector<Bitstring>& inputs) const;
 
   /// Exact completeness of the honest proof (all SWAP tests pass with
-  /// certainty; only the leaves' Bob verdicts contribute).
+  /// certainty; only the leaves' Bob verdicts contribute, each one
+  /// OneWayProtocol::honest_accept, a closed form for Hamming).
   double completeness(const std::vector<Bitstring>& inputs) const;
 
   /// Monte-Carlo acceptance of an arbitrary product proof.

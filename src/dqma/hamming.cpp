@@ -12,4 +12,12 @@ HammingGraphProtocol::HammingGraphProtocol(const network::Graph& graph,
       forall_(std::make_unique<ForallFProtocol>(graph, std::move(terminals),
                                                 *one_way_, reps)) {}
 
+double HammingGraphProtocol::proof_amplitudes(int n, int d, double delta,
+                                              int nodes) {
+  using comm::HammingOneWayProtocol;
+  return nodes * HammingOneWayProtocol::message_amplitudes(
+                     n, d, delta,
+                     HammingOneWayProtocol::recommended_copies(d, delta));
+}
+
 }  // namespace dqma::protocol

@@ -19,6 +19,10 @@ class HammingGraphProtocol {
                        std::vector<int> terminals, int n, int d, double delta,
                        int reps, std::uint64_t seed = 0xd15ea5e);
 
+  /// Amplitudes of one honest message on each of `nodes` nodes, at the copy
+  /// count this constructor picks, without building the protocol.
+  static double proof_amplitudes(int n, int d, double delta, int nodes);
+
   const comm::HammingOneWayProtocol& one_way() const { return *one_way_; }
   const ForallFProtocol& forall() const { return *forall_; }
 

@@ -155,7 +155,7 @@ CVec DenseOperator::apply(const CVec& x) const {
 void DenseOperator::apply_into(const CVec& x, CVec& out) const {
   require(x.dim() == a_.cols(), "DenseOperator::apply: dimension mismatch");
   if (!packed_) {
-    out = a_ * x;
+    a_.multiply_into(x, out);
     return;
   }
   const long long n = a_.cols();

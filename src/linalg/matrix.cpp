@@ -305,8 +305,14 @@ CMat& CMat::blend(const CMat& other, Complex w_this, Complex w_other) {
 }
 
 CVec CMat::operator*(const CVec& v) const {
+  CVec out;
+  multiply_into(v, out);
+  return out;
+}
+
+void CMat::multiply_into(const CVec& v, CVec& out) const {
   require(cols_ == v.dim(), "CMat::operator*(CVec): shape mismatch");
-  CVec out(rows_);
+  out.resize_for_overwrite(rows_);  // every entry is written below
   // Row panels in parallel; each output entry is one full serial dot, so
   // the matvec (and everything built on it, e.g. dense power iteration) is
   // thread-count-invariant.
@@ -323,7 +329,6 @@ CVec CMat::operator*(const CVec& v) const {
           out[i] = acc;
         }
       });
-  return out;
 }
 
 CMat CMat::adjoint() const {

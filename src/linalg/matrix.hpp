@@ -60,6 +60,10 @@ class CMat {
   /// Matrix-vector product.
   CVec operator*(const CVec& v) const;
 
+  /// The same product into `out`, reusing its storage when it fits (no
+  /// allocation); `out` must not alias `v`.
+  void multiply_into(const CVec& v, CVec& out) const;
+
   /// this^dagger * other without materializing the adjoint copy.
   CMat adjoint_times(const CMat& other) const;
 

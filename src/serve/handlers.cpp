@@ -141,6 +141,15 @@ sweep::Metrics run_replicated_data_audit(const Request& request,
 // reps, samples (attack MC sample count when the predicate fails).
 // ---------------------------------------------------------------------------
 
+/// Largest config_drift shape built: the bytes of its block masks and code
+/// (d may reach n, and 4 (d+1)^2 masks are built eagerly).
+constexpr double kMaxDriftShapeBytes = 64.0 * (1 << 20);
+/// Largest attack (drift > d) served, in amplitudes: one message per path
+/// node. The attack holds several copies of each node's message, ~100-128
+/// bytes of peak RSS per amplitude counted here: one dqma_serve answering one
+/// request at this bound (n = 2048, d = 0, r = 3) peaks at 61 MiB, 14 idle.
+constexpr double kMaxDriftAttackAmplitudes = 1 << 19;
+
 sweep::Metrics run_config_drift(const Request& request, ShapeCache& cache,
                                 Rng& rng) {
   const int n = param_count(request, "n", 32, 1, 1 << 12);
@@ -150,6 +159,22 @@ sweep::Metrics run_config_drift(const Request& request, ShapeCache& cache,
   const double delta = param_double(request, "delta", 0.35);
   const int reps = param_count(request, "reps", 40, 1, 1 << 20);
   const int samples = param_count(request, "samples", 200, 1, 1 << 20);
+  // Checked before the cache builds anything; the closed-form honest run
+  // holds no fingerprint, so only the attack is bounded by its proof.
+  const double bytes = comm::HammingOneWayProtocol::stored_bytes(n, d, delta);
+  util::require(bytes <= kMaxDriftShapeBytes,
+                "config_drift: shape of " + sweep::value_to_string(bytes) +
+                    " bytes exceeds the limit " +
+                    sweep::value_to_string(kMaxDriftShapeBytes));
+  if (drift > d) {
+    const double amplitudes =
+        protocol::HammingGraphProtocol::proof_amplitudes(n, d, delta, r + 1);
+    util::require(amplitudes <= kMaxDriftAttackAmplitudes,
+                  "config_drift: attack proof of " +
+                      sweep::value_to_string(amplitudes) +
+                      " amplitudes exceeds the limit " +
+                      sweep::value_to_string(kMaxDriftAttackAmplitudes));
+  }
 
   const std::string key = "config_drift/" + kv("n", n) + "/" + kv("d", d) +
                           "/" + kv("r", r) + "/" + kv("delta", delta) + "/" +

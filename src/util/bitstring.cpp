@@ -112,6 +112,15 @@ Bitstring Bitstring::operator^(const Bitstring& other) const {
   return out;
 }
 
+Bitstring Bitstring::operator&(const Bitstring& other) const {
+  require(n_ == other.n_, "Bitstring::operator&: length mismatch");
+  Bitstring out(n_);
+  for (std::size_t k = 0; k < words_.size(); ++k) {
+    out.words_[k] = words_[k] & other.words_[k];
+  }
+  return out;
+}
+
 Bitstring Bitstring::prefix(int i) const {
   require(i >= 0 && i <= n_, "Bitstring::prefix: length out of range");
   Bitstring out(i);

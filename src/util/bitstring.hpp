@@ -51,8 +51,9 @@ class Bitstring {
   /// Hamming distance to another string of the same length.
   int distance(const Bitstring& other) const;
 
-  /// Bitwise XOR (same length required).
+  /// Bitwise XOR and AND (same length required).
   Bitstring operator^(const Bitstring& other) const;
+  Bitstring operator&(const Bitstring& other) const;
 
   /// Prefix x[i] = x_0 ... x_{i-1} (the paper's notation in Sec. 5.1).
   /// Requires 0 <= i <= size(). x[0] is the empty string.

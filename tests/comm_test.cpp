@@ -71,8 +71,35 @@ TEST(HammingProtocolTest, CompletenessIsExactlyOne) {
   for (int dist = 0; dist <= d; ++dist) {
     const Bitstring x = Bitstring::random(n, rng);
     const Bitstring y = Bitstring::random_at_distance(x, dist, rng);
-    EXPECT_NEAR(ham.honest_accept(x, y), 1.0, 1e-9)
-        << "distance " << dist;
+    EXPECT_EQ(ham.honest_accept(x, y), 1.0) << "distance " << dist;
+  }
+}
+
+// The closed-form honest run (codeword weights, no state vectors) against
+// Bob's verdict on the explicitly built honest message, over seeded
+// (n, d, delta, distance) grids on both sides of the threshold.
+TEST(HammingProtocolTest, ClosedFormHonestAcceptMatchesBuiltMessages) {
+  Rng rng(2024);
+  for (const int n : {16, 48, 130}) {
+    for (const int d : {0, 1, 2, 4}) {
+      for (const double delta : {0.3, 0.5}) {
+        const HammingOneWayProtocol ham(
+            n, d, delta, HammingOneWayProtocol::recommended_copies(d, delta),
+            rng.next_u64());
+        for (int dist = 0; dist <= d + 3; ++dist) {
+          const Bitstring x = Bitstring::random(n, rng);
+          const Bitstring y = Bitstring::random_at_distance(x, dist, rng);
+          const double closed = ham.honest_accept(x, y);
+          const double built = ham.accept_product(y, ham.honest_message(x));
+          EXPECT_NEAR(closed, built, 1e-12)
+              << "n " << n << ", d " << d << ", delta " << delta
+              << ", distance " << dist;
+          if (dist <= d) {
+            EXPECT_EQ(closed, 1.0) << "n " << n << ", d " << d;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -617,4 +617,33 @@ TEST_F(LanczosTest, ApplyIntoReusesStorageAndMatchesApply) {
   EXPECT_EQ(std::memcmp(&out[0], &via_apply[0], 40 * sizeof(Complex)), 0);
 }
 
+// Unpacked operators (the scalar level, or fewer than 8 columns at any
+// level) write through CMat::multiply_into: the bits of CMat * CVec, into
+// the caller's storage.
+TEST_F(LanczosTest, UnpackedApplyIntoMatchesProductAndReusesStorage) {
+  const auto check = [&](int dim) {
+    const CMat rho = dqma::quantum::random_density(dim, rng());
+    const DenseOperator op(rho);
+    CVec out;
+    op.apply_into(dqma::quantum::haar_state(dim, rng()), out);
+    const Complex* storage = &out[0];
+    for (int call = 0; call < 3; ++call) {
+      const CVec x = dqma::quantum::haar_state(dim, rng());
+      const CVec expected = rho * x;
+      op.apply_into(x, out);
+      EXPECT_EQ(&out[0], storage) << "dim " << dim << ", call " << call;
+      EXPECT_EQ(std::memcmp(&out[0], &expected[0],
+                            static_cast<std::size_t>(dim) * sizeof(Complex)),
+                0)
+          << "dim " << dim << ", call " << call;
+    }
+  };
+  {
+    const simd::LevelScope scalar(simd::Level::kScalar);
+    check(5);
+    check(40);
+  }
+  check(5);  // d < 8 stays unpacked at the active level
+}
+
 }  // namespace

@@ -9,8 +9,11 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "dqma/hamming.hpp"
+#include "network/graph.hpp"
 #include "serve/framing.hpp"
 #include "serve/handlers.hpp"
 #include "serve/request.hpp"
@@ -240,6 +243,79 @@ TEST(HandlersTest, BuiltinWorkloadsComputeSensibleMetrics) {
       &ok);
   EXPECT_FALSE(ok);
   EXPECT_NE(bad_param.find("out of range"), std::string::npos) << bad_param;
+}
+
+// d may be as large as n <= 4096. At n = d = 4096 the protocol would hold
+// 4 (d+1)^2 = 67M block masks, so the shape is rejected from its size alone,
+// before the cache builds anything. Only an attack (drift > d) builds
+// fingerprints, so only it is bounded by its proof's amplitudes.
+TEST(HandlersTest, OversizedDriftShapeIsRejectedBeforeConstruction) {
+  ShapeCache cache;
+  bool ok = true;
+  const std::string huge = handle_request_line(
+      R"({"workload":"config_drift","id":"huge","seed":1,)"
+      R"("params":{"n":4096,"d":4096,"drift":0}})",
+      cache, &ok);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(huge.find("bytes exceeds the limit 67108864"), std::string::npos)
+      << huge;
+
+  // n = 2048, d = 0: 4 blocks x 1 copy x 32768 = 2^17 amplitudes a node, so
+  // an attack may span 4 nodes (r = 3) but not 5.
+  const std::string long_path = handle_request_line(
+      R"({"workload":"config_drift","id":"long","seed":1,)"
+      R"("params":{"n":2048,"d":0,"drift":1,"r":4}})",
+      cache, &ok);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(long_path.find("attack proof of 655360 amplitudes exceeds the "
+                           "limit 524288"),
+            std::string::npos)
+      << long_path;
+
+  // A tiny delta asks for a code longer than 2^30: rejected, not spun on.
+  const std::string tiny = handle_request_line(
+      R"({"workload":"config_drift","id":"tiny","seed":1,)"
+      R"("params":{"n":16,"d":2,"drift":1,"delta":0.000001}})",
+      cache, &ok);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(tiny.find("block length above 2^30"), std::string::npos) << tiny;
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+
+  const std::string edge = handle_request_line(
+      R"({"workload":"config_drift","id":"edge","seed":1,)"
+      R"("params":{"n":2048,"d":0,"drift":1,"r":3,"reps":1,"samples":5}})",
+      cache, &ok);
+  EXPECT_TRUE(ok) << edge;
+  EXPECT_NE(edge.find("\"within_tolerance\":false"), std::string::npos)
+      << edge;
+
+  // 3 x 36 x 2 x 65536 amplitudes, past the attack bound, but within
+  // tolerance the closed form answers it without a fingerprint.
+  const std::string wide = handle_request_line(
+      R"({"workload":"config_drift","id":"wide","seed":1,)"
+      R"("params":{"n":4096,"d":2,"drift":2,"r":2,"reps":1}})",
+      cache, &ok);
+  EXPECT_TRUE(ok) << wide;
+  EXPECT_NE(wide.find("\"accept\":1,"), std::string::npos) << wide;
+}
+
+// The bound's arithmetic counts the shape the protocol really builds.
+TEST(HandlersTest, DriftProofAmplitudesMatchTheBuiltProtocol) {
+  for (const auto& [n, d] : {std::pair{2048, 0}, std::pair{16, 2}}) {
+    const dqma::protocol::HammingGraphProtocol protocol(
+        dqma::network::Graph::path(3), {0, 3}, n, d, 0.35, 1);
+    double message = 0.0;
+    for (const int dim : protocol.one_way().message_dims()) {
+      message += dim;
+    }
+    EXPECT_EQ(dqma::protocol::HammingGraphProtocol::proof_amplitudes(
+                  n, d, 0.35, 4),
+              4 * message);
+  }
+  EXPECT_EQ(dqma::protocol::HammingGraphProtocol::proof_amplitudes(
+                2048, 0, 0.35, 4),
+            1 << 19);
 }
 
 TEST(ServerTest, DeliversResponsesInSubmissionOrder) {
