@@ -16,41 +16,48 @@
 // Comparing the two quantifies how much entangled provers gain — the
 // question behind the paper's Sec. 8 lower bounds.
 //
-// Engine modes. The analyzer keeps O in *structured form* — the per-pattern
-// lists of local effects — and streams them through the matrix-free
-// local-operator layer (quantum/local_ops.hpp):
-//   * kDense (small proof spaces): O is additionally materialized by
-//     applying the local effects to an identity matrix (O(D^2 b) per
-//     pattern instead of the former O(D^3) embedded products), so spectral
-//     routines and QMA* reductions can consume the dense matrix;
-//   * kMatrixFree (large proof spaces): O is never materialized; each
-//     effect acts by its closed form in one O(D) pass (psi <- psi/2 +
-//     h_x (h_x^dagger psi)/2, psi <- h_y (h_y^dagger psi), and (I + SWAP)/2
-//     as the average of psi[..i..j..] and psi[..j..i..]), so a matvec costs
-//     O(patterns * r * D). worst_case_accept runs Lanczos on that action
-//     through a per-solve operator that writes into the solver's vector and
-//     reuses one scratch from the thread's spectral workspace
-//     (linalg/lanczos.hpp), so no matvec allocates; the product-prover
-//     optimizer uses closed-form expectations (O(d)) and conditional blocks
-//     (O(d^2)), and takes top eigenvectors by Lanczos.
+// The chain. Each local effect depends on at most two neighbouring coins:
+// the first test F(b_1) on kept_1, the swap test S_j(b_{j-1}, b_j) on
+// (sent_{j-1}, kept_j), the final measurement Final(b_m) on sent_m, with
+// m = r - 1. So O = 2^-m sum_b Final(b_m) S_m(b_{m-1}, b_m) ... F(b_1) is a
+// 2 x 2 transfer chain (the operator form of runner.hpp's chain_dp): the
+// matvec carries one D-vector per value of the current coin, v_1^b =
+// F(b) psi, v_j^b' = sum_b S_j(b, b') v_{j-1}^b, O psi = 2^-m sum_b
+// Final(b) v_m^b. For a product proof every effect is a scalar and the
+// chain is 2^-m f^T T_2 ... T_m g, which is how product_accept and the
+// conditional blocks are formed.
+//
+// Engine modes:
+//   * kMatrixFree: O is never materialized. Each pass acts by closed form:
+//     the first test as psi/2 + h_x (h_x^dagger psi)/2; a swap step, per
+//     value of the incoming coin, as ((v^0 + P v^0) + (v^1 + P' v^1))/2,
+//     reading both chain vectors through their register-swapped offsets;
+//     the final measurement as h_y (h_y^dagger psi), fused into the last
+//     swap step. worst_case_accept runs Lanczos on that action through a
+//     per-solve operator that writes into the solver's vector and borrows
+//     the chain's scratch from the thread's spectral workspace
+//     (linalg/lanczos.hpp), so no matvec allocates;
+//   * kDense (small proof spaces): O is additionally materialized from
+//     chain matvecs on identity columns, so spectral routines and QMA*
+//     reductions can consume the dense matrix.
 // kAuto picks kDense up to kMaxDenseProofDim and kMatrixFree beyond.
 //
-// Cost. A matrix-free worst_case_accept is its Lanczos steps: per step one
-// matvec, O(patterns * r * D), plus three reorthogonalization sweeps over
-// the j stored basis vectors, O(j * D), level-dispatched on the kernel
-// pool. What is left per step is O(D) on the pool (zeroing the matvec's
-// output, scaling w) and the serial norm; no step allocates or refills a
-// borrowed vector. At d = 16, r = 3 (D = 65536, 23 steps) the matvecs and
-// the sweeps are most of a solve. best_product_accept's cost is its
-// conditional blocks, O(patterns * d^2) each and accumulated in place, and
-// one d x d Lanczos solve per block.
+// Cost. A matvec is 2(r-1) O(D) passes at r >= 3 (2r at r = 2): O(r D)
+// instead of the O(2^(r-1) r D) of summing the coin patterns, with at most
+// four scratch vectors (one at r = 2, two at r = 3). A matrix-free
+// worst_case_accept is its Lanczos steps: per step one matvec plus three
+// reorthogonalization sweeps over the j stored basis vectors, O(j * D),
+// level-dispatched on the kernel pool; no step allocates or refills a
+// borrowed vector. product_accept costs O(r d) and a conditional block
+// O(r d + d^2); best_product_accept adds one d x d Lanczos solve per block.
 //
-// Determinism. The rank-one passes are real-arithmetic tile loops (the
-// stride-1 register as contiguous d-amplitude fibers) instantiated per SIMD
-// dispatch level and compiled without FMA contraction: every amplitude sees
-// the same operations in the same order at every level, so the matrix-free
-// outputs are byte-identical across levels as well as across kernel thread
-// counts (tests/determinism_test.cpp pins them).
+// Determinism. The passes are real-arithmetic loops (additions, exact
+// power-of-two scalings and the rank-one contractions in a fixed order)
+// instantiated per SIMD dispatch level and compiled without FMA
+// contraction: every amplitude sees the same operations in the same order
+// at every level, so the matrix-free outputs are byte-identical across
+// levels as well as across kernel thread counts (tests/determinism_test.cpp
+// pins them).
 //
 // Dimensions: the proof space has dimension d^{2(r-1)} for fingerprint
 // stand-ins of dimension d; constructors enforce the exact-engine cap
@@ -99,8 +106,8 @@ class ExactEqPathAnalyzer {
   long long proof_dim() const { return proof_dim_; }
 
   /// O |psi>: dense matvec when materialized, otherwise the matrix-free
-  /// pattern-streamed application, whose scratch is borrowed from the
-  /// thread's spectral workspace (only the returned vector is allocated).
+  /// transfer chain, whose scratch is borrowed from the thread's spectral
+  /// workspace (only the returned vector is allocated).
   CVec apply_acceptance(const CVec& psi) const;
 
   /// max over all (entangled) proofs of Pr[accept]. Top eigenvalue of the
@@ -137,50 +144,37 @@ class ExactEqPathAnalyzer {
   int d_;
   CVec hx_;
   CVec hy_;
-  int inner_ = 0;
-  int patterns_ = 1;
+  int inner_ = 0;  // m = r - 1: one coin per intermediate node
   quantum::RegisterShape shape_;  // 2(r-1) registers of dimension d
   long long proof_dim_ = 1;
   bool dense_ = true;
-  // Local effects of Algorithm 3 (shared across patterns).
-  CMat first_;        // (I + |h_x><h_x|)/2 on kept_1
-  CMat swap_effect_;  // (I + SWAP)/2 on (sent_{j-1}, kept_j); dense mode only
-  CMat final_;        // |h_y><h_y| on sent_{r-1}
-  CMat op_;           // dense modes (and the r == 1 scalar)
+  // Local effects of Algorithm 3, as d x d blocks.
+  CMat first_;  // (I + |h_x><h_x|)/2 on kept_1
+  CMat final_;  // |h_y><h_y| on sent_{r-1}
+  CMat op_;     // dense modes (and the r == 1 scalar)
 
-  /// Which of the three local effects a pattern entry applies; resolved to
-  /// the member matrix at use time so cached entries survive copies.
-  enum class EffectKind { kFirst, kSwap, kFinal };
-
-  /// One symmetrization pattern's local effect: operator kind, register
-  /// list, and the index of its (deduplicated) stride plan in plans_.
-  struct PatternEffect {
-    EffectKind kind;
-    std::vector<int> regs;
-    std::size_t plan;
-  };
-  // Built once in the constructor: the effect lists of every pattern. The
-  // register lists repeat across patterns, so the plans are deduplicated
-  // (at most ~4r distinct ones) and the matrix-free hot loops never
-  // rebuild offset tables.
-  std::vector<std::vector<PatternEffect>> pattern_effects_;
-  std::vector<quantum::LocalOpPlan> plans_;
+  // Stride plans of the chain's passes, built once: the first test on
+  // R_{1,b} (first_plans_[b], which for r = 2 also measure R_{1,b}) and
+  // the middle steps' swap passes for kept_j = R_{j,b'} on (R_{j-1,0},
+  // R_{j-1,1}, R_{j,b'}) (step_plans_[2(j-2) + b'], 2 <= j < r-1). The
+  // last step acts on the last four registers and needs no plan.
+  std::vector<quantum::LocalOpPlan> first_plans_;
+  std::vector<quantum::LocalOpPlan> step_plans_;
 
   /// Per-solve LinearOperator over the matrix-free action (defined in the
-  /// .cpp): it borrows one scratch vector from the spectral workspace, so
-  /// Lanczos matvecs allocate nothing.
+  /// .cpp): it borrows the chain's scratch once, so Lanczos matvecs
+  /// allocate nothing.
   class MatrixFreeOperator;
 
-  /// out <- O psi by the closed-form passes; zero-fills out on the kernel
-  /// pool and uses scratch as the pattern workspace (both sized by the
-  /// caller to proof_dim(), neither aliasing psi; neither one's contents
-  /// are read before they are written).
-  void apply_matrix_free(const CVec& psi, CVec& out, CVec& scratch) const;
-  const CMat& effect_matrix(EffectKind kind) const;
-  /// Closed-form <w| effect |w> for the group's product state.
-  double local_expectation(const PatternEffect& pe,
-                           const std::vector<CVec>& regs) const;
-  void build_pattern_effects();
+  /// The chain's scratch vectors (1 at r = 2, 2 at r = 3, 4 beyond),
+  /// borrowed from the thread's spectral workspace.
+  std::vector<linalg::WorkspaceVec> borrow_scratch() const;
+
+  /// out <- O psi by the chain's passes (out sized by the caller to
+  /// proof_dim() and not aliasing psi; neither out's nor the scratch's
+  /// contents are read before they are written).
+  void apply_matrix_free(const CVec& psi, CVec& out,
+                         std::vector<linalg::WorkspaceVec>& scratch) const;
   void build_operator();
 };
 

@@ -367,10 +367,10 @@ TEST(ThreadedKernelDeterminismTest, AnalyzerAssemblyAndMatrixFreeMatvec) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte pins of the matrix-free exact analyzer. The matvec applies each local
-// effect by its closed form (rank-one tests, SWAP as a pairwise average) and
-// the product optimizer uses closed-form expectations and conditionals. The
-// rank-one passes are instantiated per dispatch level but compiled without
+// Byte pins of the matrix-free exact analyzer. The matvec runs Algorithm 3's
+// coins as a transfer chain of closed-form passes (rank-one tests, fused
+// swap-test steps) and the product optimizer uses the chain's 2 x 2 scalar
+// form. The passes are instantiated per dispatch level but compiled without
 // FMA contraction, and the Lanczos solve's reorthogonalization is
 // level-free, so one recorded bit pattern per output must hold at every
 // dispatch level and kernel thread count. The d = 8, r = 3 input runs full
@@ -427,15 +427,15 @@ TEST(ExactAnalyzerBytePinTest, MatrixFreeOutputsMatchRecordedBits) {
     long long matvecs;
   };
   const Pin pins[] = {
-      {5, 4, 0x5eed, 0x4288107d82c0e268ULL, 0x3f75bd821d4185bdULL,
-       0x3fe96fa39238becaULL, 0x3fe9af2ac7f9555cULL, 32},
-      {8, 3, 0x5eed8, 0xe3ebacded13c9664ULL, 0x3fae10c5298fb381ULL,
+      {5, 4, 0x5eed, 0x4d78e9e4e4da2ec3ULL, 0x3f75bd821d4185beULL,
+       0x3fe96fa39238bed1ULL, 0x3fe9af2ac7f9555cULL, 32},
+      {8, 3, 0x5eed8, 0x2b0e4bb81efa1581ULL, 0x3fae10c5298fb382ULL,
        std::nullopt, 0x3fe64a4f500743a6ULL, 25},
       // The perfbench exact_spectral shapes: D = 14641 and D = 65536, where
       // the reorthogonalization sweeps split into many chunks.
-      {11, 3, 0x5eed11, 0xb9f19457dceea2e7ULL, 0x3fa994d55fa9fec1ULL,
+      {11, 3, 0x5eed11, 0x3070abebb3af1a5fULL, 0x3fa994d55fa9fec1ULL,
        std::nullopt, 0x3fe807e12c08c8c4ULL, 22},
-      {16, 3, 0x5eed16, 0x0d7adfd352d147ddULL, 0x3f72995e83c1188eULL,
+      {16, 3, 0x5eed16, 0x06aec1ee754c0e83ULL, 0x3f72995e83c1188dULL,
        std::nullopt, 0x3fe805e2248517ccULL, 23},
   };
   for (const Pin& pin : pins) {
@@ -487,9 +487,7 @@ TEST(ExactAnalyzerBytePinTest, MatrixFreeOutputsMatchRecordedBits) {
 TEST(ExactAnalyzerBytePinTest, ConditionalBlocksMatchRecordedBits) {
   // The product optimizer's d x d conditional blocks, every register's,
   // with one register holding an exact +0.0 and -0.0 entry. FNV-1a over
-  // their entries' bits, recorded when each block was still formed as a
-  // matrix expression (identity, projector and scaled copies per pattern);
-  // the in-place accumulation must reproduce every bit.
+  // their entries' bits, as the 2 x 2 transfer chain forms them.
   using dqma::protocol::ExactEqPathAnalyzer;
   struct Pin {
     int d;
@@ -498,10 +496,10 @@ TEST(ExactAnalyzerBytePinTest, ConditionalBlocksMatchRecordedBits) {
     std::uint64_t hash;
   };
   const Pin pins[] = {
-      {5, 4, 0x5eed, 0x2d4064529e00b874ULL},
-      {8, 3, 0x5eed8, 0x11e63d3157e97b0eULL},
-      {11, 3, 0x5eed11, 0xad593dfaea0f3bedULL},
-      {16, 3, 0x5eed16, 0xe7eec6834b4154c2ULL},
+      {5, 4, 0x5eed, 0x67a283f10136d5e3ULL},
+      {8, 3, 0x5eed8, 0x311756cbb9c634e0ULL},
+      {11, 3, 0x5eed11, 0x1395dc3cffe120b0ULL},
+      {16, 3, 0x5eed16, 0xd9635feaac275689ULL},
   };
   for (const Pin& pin : pins) {
     Rng rng(pin.seed);

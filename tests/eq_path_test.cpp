@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dqma/attacks.hpp"
 #include "dqma/eq_path.hpp"
@@ -17,6 +21,7 @@
 
 namespace {
 
+using dqma::linalg::Complex;
 using dqma::linalg::CVec;
 using dqma::protocol::all_target_attack;
 using dqma::protocol::EqPathMode;
@@ -327,6 +332,73 @@ TEST(ExactEqPathTest, EqualEndpointsAcceptCompletely) {
   std::vector<CVec> regs(4, a);
   EXPECT_NEAR(exact.product_accept(regs), 1.0, 1e-9);
   EXPECT_NEAR(exact.worst_case_accept(), 1.0, 1e-7);
+}
+
+TEST(ExactTransferChainTest, MatchesPatternSumOverAThousandSeeds) {
+  // The unit differential test's shapes up to proof dimension 4096 (d = 3
+  // to r = 4, d = 5 to r = 3; the unit test covers the larger ones once),
+  // one (d, r, pair kind) per seed.
+  std::vector<std::pair<int, int>> shapes;
+  for (const int d : {2, 3, 5}) {
+    for (int r = 2; r <= 6; ++r) {
+      if (std::pow(d, 2 * (r - 1)) <= 4096) {
+        shapes.emplace_back(d, r);
+      }
+    }
+  }
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    Rng rng(0xc4a1 + seed);
+    const auto [d, r] = shapes[seed % shapes.size()];
+    const bool real_pair = (seed / shapes.size()) % 2 == 0;
+    EXPECT_LE(dqma::test::transfer_chain_error(d, r, real_pair, rng), 1e-14)
+        << "seed " << seed << ", d=" << d << " r=" << r;
+  }
+}
+
+/// Endpoints with overlap <h_x|h_y> = z: h_x = e_0, h_y = z e_0 +
+/// sqrt(1 - |z|^2) e_1, in dimension d.
+std::pair<CVec, CVec> endpoints(int d, Complex z) {
+  CVec hy(d);
+  hy[0] = z;
+  hy[1] = Complex{std::sqrt(1.0 - std::norm(z)), 0.0};
+  return {CVec::basis(d, 0), hy};
+}
+
+TEST(ExactTransferChainTest, AcceptanceDoesNotDependOnTheFingerprintDimension) {
+  // lambda_max(O_d) and the best product acceptance at d = n + 2 (n = 2(r-1)
+  // registers) against d = 2 at the same |<h_x|h_y>|: real overlaps, and
+  // two seeded complex Haar pairs reduced to their span for the d = 2 side.
+  const dqma::linalg::SpectralOptions tight{.tol = 1e-13};
+  for (const auto& [r, d] : {std::pair{3, 6}, std::pair{4, 8}}) {
+    std::vector<std::pair<std::pair<CVec, CVec>, std::pair<CVec, CVec>>> cases;
+    for (const double overlap : {0.0, 0.5, 0.9}) {
+      cases.push_back({endpoints(d, Complex{overlap, 0.0}),
+                       endpoints(2, Complex{overlap, 0.0})});
+    }
+    Rng rng(0xd1d + static_cast<std::uint64_t>(d));
+    for (int pair = 0; pair < 2; ++pair) {
+      const CVec hx = dqma::quantum::haar_state(d, rng);
+      const CVec hy = dqma::quantum::haar_state(d, rng);
+      cases.push_back({{hx, hy}, endpoints(2, hx.dot(hy))});
+    }
+    for (const auto& [wide, narrow] : cases) {
+      const double overlap = std::abs(wide.first.dot(wide.second));
+      const std::string where = "r=" + std::to_string(r) + " d=" +
+                                std::to_string(d) + " overlap " +
+                                std::to_string(overlap);
+      const ExactEqPathAnalyzer big(wide.first, wide.second, r,
+                                    ExactEqPathAnalyzer::Mode::kMatrixFree);
+      const ExactEqPathAnalyzer small(narrow.first, narrow.second, r);
+      EXPECT_NEAR(big.worst_case_accept(tight), small.worst_case_accept(tight),
+                  1e-12)
+          << where;
+      Rng big_rng(5);
+      Rng small_rng(5);
+      EXPECT_NEAR(big.best_product_accept(big_rng),
+                  small.best_product_accept(small_rng), 1e-9)
+          << where;
+    }
+  }
 }
 
 }  // namespace

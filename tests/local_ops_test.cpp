@@ -405,42 +405,21 @@ CVec flatten(const std::vector<CVec>& regs) {
   return flat;
 }
 
-/// O psi from the effect matrices: the kDense operator when it is small,
-/// otherwise every pattern's effects streamed through the generic
-/// apply_local (register order R_{1,0}, R_{1,1}, ...; pattern bit j - 1
-/// keeps R_{j,bit} and sends the other register of pair j).
-CVec reference_acceptance(const EngineCase& c, const CVec& psi) {
-  if (proof_dim(c) <= kMaxDenseOracleDim) {
-    const ExactEqPathAnalyzer dense(c.hx, c.hy, c.r,
-                                    ExactEqPathAnalyzer::Mode::kDense);
-    return dense.acceptance_operator() * psi;
-  }
-  const int d = c.hx.dim();
-  const int inner = c.r - 1;
-  const RegisterShape shape(std::vector<int>(2 * inner, d));
-  CMat first = CMat::identity(d);
-  first += CMat::projector(c.hx);
-  first *= Complex{0.5, 0.0};
-  CMat swap_effect = dqma::quantum::swap_unitary(d);
-  swap_effect += CMat::identity(d * d);
-  swap_effect *= Complex{0.5, 0.0};
-  const CMat final_effect = CMat::projector(c.hy);
-  CVec out(psi.dim());
-  for (int pattern = 0; pattern < (1 << inner); ++pattern) {
-    const auto kept = [&](int j) {
-      return 2 * (j - 1) + ((pattern >> (j - 1)) & 1);
-    };
-    const auto sent = [&](int j) { return 4 * (j - 1) + 1 - kept(j); };
-    CVec term = psi;
-    apply_local(shape, first, {kept(1)}, term);
-    for (int j = 2; j <= inner; ++j) {
-      apply_local(shape, swap_effect, {sent(j - 1), kept(j)}, term);
+TEST_F(ExactEngineModesTest, TransferChainMatchesPatternSum) {
+  // d in {2, 3, 5} x r in {2, ..., 6} within the exact-engine cap (d = 5
+  // stops at r = 4), real and complex endpoint pairs.
+  for (const int d : {2, 3, 5}) {
+    for (int r = 2; r <= 6; ++r) {
+      if (std::pow(d, 2 * (r - 1)) > dqma::util::kMaxExactDim) {
+        continue;
+      }
+      for (const bool real_pair : {true, false}) {
+        EXPECT_LE(dqma::test::transfer_chain_error(d, r, real_pair, rng()),
+                  1e-14)
+            << "d=" << d << " r=" << r << (real_pair ? " real" : " complex");
+      }
     }
-    apply_local(shape, final_effect, {sent(inner)}, term);
-    out += term;
   }
-  out *= Complex{1.0 / (1 << inner), 0.0};
-  return out;
 }
 
 TEST_F(ExactEngineModesTest, StreamedOperatorMatchesEmbeddedAssembly) {
@@ -484,8 +463,9 @@ TEST_F(ExactEngineModesTest, MatrixFreeApplicationMatchesDenseOperator) {
                                    ExactEqPathAnalyzer::Mode::kMatrixFree);
     EXPECT_FALSE(free.dense());
     const CVec psi = haar_state(static_cast<int>(free.proof_dim()), rng());
-    EXPECT_STATE_NEAR_TOL(free.apply_acceptance(psi),
-                          reference_acceptance(c, psi), 1e-12)
+    EXPECT_STATE_NEAR_TOL(
+        free.apply_acceptance(psi),
+        dqma::test::pattern_sum_acceptance(c.hx, c.hy, c.r, psi), 1e-12)
         << c.label;
   }
 }
@@ -550,8 +530,9 @@ TEST_F(ExactEngineModesTest, MatrixFreeProductAcceptMatchesDenseQuadraticForm) {
                                    ExactEqPathAnalyzer::Mode::kMatrixFree);
     const std::vector<CVec> regs = case_registers(c, rng());
     const CVec flat = flatten(regs);
-    const double quadratic =
-        std::max(0.0, flat.dot(reference_acceptance(c, flat)).real());
+    const CVec applied =
+        dqma::test::pattern_sum_acceptance(c.hx, c.hy, c.r, flat);
+    const double quadratic = std::max(0.0, flat.dot(applied).real());
     EXPECT_NEAR(free.product_accept(regs), quadratic, 1e-12) << c.label;
     if (proof_dim(c) <= kMaxDenseOracleDim) {
       const ExactEqPathAnalyzer dense(c.hx, c.hy, c.r,

@@ -1,11 +1,15 @@
 #include "support/test_support.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <sstream>
 
 #include "qtest/swap_test.hpp"
+#include "quantum/local_ops.hpp"
 #include "quantum/random.hpp"
+#include "quantum/state.hpp"
+#include "quantum/unitary.hpp"
 
 namespace dqma::test {
 
@@ -172,6 +176,177 @@ double exact_best_product_accept(const CVec& hx, const CVec& hy, int r,
   const protocol::ExactEqPathAnalyzer analyzer(hx, hy, r);
   Rng rng(kTestSeed);
   return analyzer.best_product_accept(rng, restarts);
+}
+
+namespace {
+
+/// One pattern's local effect: the d x d or d^2 x d^2 effect, the
+/// registers it acts on, and whether it is the first test.
+struct PatternEffect {
+  CMat effect;
+  std::vector<int> regs;
+  bool first = false;
+};
+
+std::vector<PatternEffect> pattern_effects(const CVec& hx, const CVec& hy,
+                                           int r, int pattern) {
+  const int d = hx.dim();
+  const int inner = r - 1;
+  const auto kept = [&](int j) {
+    return 2 * (j - 1) + ((pattern >> (j - 1)) & 1);
+  };
+  const auto sent = [&](int j) { return 4 * (j - 1) + 1 - kept(j); };
+  CMat first = CMat::identity(d);
+  first += CMat::projector(hx);
+  first *= linalg::Complex{0.5, 0.0};
+  CMat swap_effect = quantum::swap_unitary(d);
+  swap_effect += CMat::identity(d * d);
+  swap_effect *= linalg::Complex{0.5, 0.0};
+  std::vector<PatternEffect> effects{{first, {kept(1)}, true}};
+  for (int j = 2; j <= inner; ++j) {
+    effects.push_back({swap_effect, {sent(j - 1), kept(j)}});
+  }
+  effects.push_back({CMat::projector(hy), {sent(inner)}});
+  return effects;
+}
+
+/// <w| effect |w> on the product of the listed registers' states, by the
+/// effect's closed form (the matrix form loses relative accuracy when an
+/// overlap is small).
+double local_expectation(const PatternEffect& pe, const CVec& hx,
+                         const CVec& hy, const std::vector<CVec>& regs) {
+  const CVec& w = regs[static_cast<std::size_t>(pe.regs.front())];
+  if (pe.regs.size() == 2) {
+    const CVec& v = regs[static_cast<std::size_t>(pe.regs.back())];
+    return 0.5 * (w.norm_sq() * v.norm_sq() + std::norm(w.dot(v)));
+  }
+  return pe.first ? 0.5 * (w.norm_sq() + std::norm(hx.dot(w)))
+                  : std::norm(hy.dot(w));
+}
+
+/// max |a - b| / max |b| over the entries.
+double relative_error(const CVec& a, const CVec& b) {
+  double diff = 0.0;
+  double scale = 0.0;
+  for (int i = 0; i < b.dim(); ++i) {
+    diff = std::max(diff, std::abs(a[i] - b[i]));
+    scale = std::max(scale, std::abs(b[i]));
+  }
+  return diff / scale;
+}
+
+CVec entries(const CMat& m) {
+  std::vector<linalg::Complex> all;
+  for (int i = 0; i < m.rows(); ++i) {
+    for (int j = 0; j < m.cols(); ++j) {
+      all.push_back(m(i, j));
+    }
+  }
+  return CVec(all);
+}
+
+/// A random unit vector with real entries.
+CVec real_state(int d, Rng& rng) {
+  CVec v(d);
+  for (int i = 0; i < d; ++i) {
+    v[i] = linalg::Complex{rng.next_gaussian(), 0.0};
+  }
+  v.normalize();
+  return v;
+}
+
+}  // namespace
+
+CVec pattern_sum_acceptance(const CVec& hx, const CVec& hy, int r,
+                            const CVec& psi) {
+  const quantum::RegisterShape shape(
+      std::vector<int>(static_cast<std::size_t>(2 * (r - 1)), hx.dim()));
+  CVec out(psi.dim());
+  for (int pattern = 0; pattern < (1 << (r - 1)); ++pattern) {
+    CVec term = psi;
+    for (const PatternEffect& pe : pattern_effects(hx, hy, r, pattern)) {
+      quantum::apply_local(shape, pe.effect, pe.regs, term);
+    }
+    out += term;
+  }
+  out *= linalg::Complex{1.0 / (1 << (r - 1)), 0.0};
+  return out;
+}
+
+double pattern_sum_product_accept(const CVec& hx, const CVec& hy, int r,
+                                  const std::vector<CVec>& regs) {
+  double total = 0.0;
+  for (int pattern = 0; pattern < (1 << (r - 1)); ++pattern) {
+    double term = 1.0;
+    for (const PatternEffect& pe : pattern_effects(hx, hy, r, pattern)) {
+      term *= local_expectation(pe, hx, hy, regs);
+    }
+    total += term;
+  }
+  return total / (1 << (r - 1));
+}
+
+CMat pattern_sum_conditional(const CVec& hx, const CVec& hy, int r, int k,
+                             const std::vector<CVec>& regs) {
+  const int d = hx.dim();
+  CMat cond(d, d);
+  for (int pattern = 0; pattern < (1 << (r - 1)); ++pattern) {
+    double scale = 1.0;
+    CMat block;
+    for (const PatternEffect& pe : pattern_effects(hx, hy, r, pattern)) {
+      const auto at = std::find(pe.regs.begin(), pe.regs.end(), k);
+      if (at == pe.regs.end()) {
+        scale *= local_expectation(pe, hx, hy, regs);
+      } else if (pe.regs.size() == 1) {
+        block = pe.effect;
+      } else {
+        // Contract the partner register: <v|_partner effect |v>_partner.
+        const CVec& v = regs[static_cast<std::size_t>(
+            at == pe.regs.begin() ? pe.regs.back() : pe.regs.front())];
+        const bool own_first = at == pe.regs.begin();
+        block = CMat(d, d);
+        for (int i = 0; i < d; ++i) {
+          for (int j = 0; j < d; ++j) {
+            for (int a = 0; a < d; ++a) {
+              for (int b = 0; b < d; ++b) {
+                const int row = own_first ? i * d + a : a * d + i;
+                const int col = own_first ? j * d + b : b * d + j;
+                block(i, j) += std::conj(v[a]) * pe.effect(row, col) * v[b];
+              }
+            }
+          }
+        }
+      }
+    }
+    cond += block * linalg::Complex{scale, 0.0};
+  }
+  cond *= linalg::Complex{1.0 / (1 << (r - 1)), 0.0};
+  return cond;
+}
+
+double transfer_chain_error(int d, int r, bool real_pair, Rng& rng) {
+  const CVec hx = real_pair ? real_state(d, rng) : quantum::haar_state(d, rng);
+  const CVec hy = real_pair ? real_state(d, rng) : quantum::haar_state(d, rng);
+  const protocol::ExactEqPathAnalyzer chain(
+      hx, hy, r, protocol::ExactEqPathAnalyzer::Mode::kMatrixFree);
+  const CVec psi =
+      quantum::haar_state(static_cast<int>(chain.proof_dim()), rng);
+  std::vector<CVec> regs;
+  for (int k = 0; k < 2 * (r - 1); ++k) {
+    regs.push_back(quantum::haar_state(d, rng));
+  }
+  double worst = relative_error(chain.apply_acceptance(psi),
+                                pattern_sum_acceptance(hx, hy, r, psi));
+  const double product = pattern_sum_product_accept(hx, hy, r, regs);
+  worst = std::max(worst,
+                   std::abs(chain.product_accept(regs) - product) / product);
+  for (int k = 0; k < 2 * (r - 1); ++k) {
+    worst = std::max(
+        worst,
+        relative_error(entries(chain.conditional_operator(k, regs)),
+                       entries(pattern_sum_conditional(hx, hy, r, k, regs))));
+  }
+  return worst;
 }
 
 std::vector<std::uint64_t> reference_stream(std::uint64_t seed, int count) {

@@ -160,6 +160,28 @@ double exact_worst_case_accept(const CVec& hx, const CVec& hy, int r);
 double exact_best_product_accept(const CVec& hx, const CVec& hy, int r,
                                  int restarts = 8);
 
+/// Reference forms of the exact engine's outputs for one Algorithm 3
+/// repetition: every one of the 2^{r-1} coin patterns' effects applied in
+/// turn and the terms averaged, the form the engine's transfer chain
+/// replaced. Registers are ordered R_{1,0}, R_{1,1}, ..., R_{r-1,1};
+/// pattern bit j - 1 keeps R_{j,bit} and sends the other one.
+/// O psi.
+CVec pattern_sum_acceptance(const CVec& hx, const CVec& hy, int r,
+                            const CVec& psi);
+/// <w| O |w> for the product proof w = regs[0] x regs[1] x ...
+double pattern_sum_product_accept(const CVec& hx, const CVec& hy, int r,
+                                  const std::vector<CVec>& regs);
+/// Register k's conditional operator <w_-k, e_i| O |w_-k, e_j>.
+CMat pattern_sum_conditional(const CVec& hx, const CVec& hy, int r, int k,
+                             const std::vector<CVec>& regs);
+
+/// The engine's transfer chain against the pattern sum at one (d, r): the
+/// matvec on a Haar probe, a Haar product proof's acceptance and every
+/// register's conditional block, with real (`real_pair`) or complex Haar
+/// endpoints. Returns the largest relative error (max |delta| / max |ref|
+/// per output).
+double transfer_chain_error(int d, int r, bool real_pair, Rng& rng);
+
 // ---------------------------------------------------------------------------
 // Cross-translation-unit determinism reference
 // ---------------------------------------------------------------------------
